@@ -199,7 +199,7 @@ fn bench_productivity_repeated(c: &mut Criterion) {
 /// the raw signed-fold every lookup would pay without memoization.
 fn bench_score_cache(c: &mut Criterion) {
     let query = chain3();
-    let mut seed_sketches = || {
+    let seed_sketches = || {
         let mut sk = TumblingSketches::new(
             &query,
             BankConfig {
@@ -281,25 +281,36 @@ fn bench_kernel_modes(c: &mut Criterion) {
     let i64s: Vec<i64> = (0..N).map(|_| (rng.gen::<u64>() as i64) >> 8).collect();
 
     let mut group = c.benchmark_group("kernel_modes");
-    // fold_packed_signs: ±1 folds into i64 counters.
-    {
+    // fold_weighted_signs: count-weighted ±1 folds into i64 counters (the
+    // bank's settle kernel; weight 1 is one arrival, weight > 1 a pending
+    // key that repeated within the epoch).
+    for weight in [1i64, 7] {
         let mut want = i64s.clone();
-        kernel::scalar::fold_packed_signs(&signs, &mut want);
+        kernel::scalar::fold_weighted_signs(&signs, weight, &mut want);
         let mut got = i64s.clone();
-        kernel::lanes::fold_packed_signs(&signs, &mut got);
-        assert_eq!(want, got, "fold_packed_signs modes diverge");
+        kernel::lanes::fold_weighted_signs(&signs, weight, &mut got);
+        assert_eq!(
+            want, got,
+            "fold_weighted_signs modes diverge at weight {weight}"
+        );
+        let mut dispatched = i64s.clone();
+        kernel::fold_weighted_signs(&signs, weight, &mut dispatched);
+        assert_eq!(
+            want, dispatched,
+            "dispatched fold diverges at weight {weight}"
+        );
         let mut buf = i64s.clone();
-        group.bench_function("fold_signs_scalar", |b| {
+        group.bench_function(&format!("fold_weighted_w{weight}_scalar"), |b| {
             b.iter(|| {
                 buf.copy_from_slice(&i64s);
-                kernel::scalar::fold_packed_signs(black_box(&signs), &mut buf);
+                kernel::scalar::fold_weighted_signs(black_box(&signs), black_box(weight), &mut buf);
                 black_box(&buf);
             })
         });
-        group.bench_function("fold_signs_lanes", |b| {
+        group.bench_function(&format!("fold_weighted_w{weight}_lanes"), |b| {
             b.iter(|| {
                 buf.copy_from_slice(&i64s);
-                kernel::lanes::fold_packed_signs(black_box(&signs), &mut buf);
+                kernel::lanes::fold_weighted_signs(black_box(&signs), black_box(weight), &mut buf);
                 black_box(&buf);
             })
         });

@@ -808,9 +808,10 @@ impl ShedJoinEngine {
     }
 
     /// Estimated size of the full multi-way join over the current epoch
-    /// (diagnostics; `None` when the policy runs sketch-free).
-    pub fn estimate_join_count(&self) -> Option<f64> {
-        self.sketches.as_ref().map(|s| s.estimate_join_count())
+    /// (diagnostics; `None` when the policy runs sketch-free). Settles the
+    /// sketches' pending folds first, hence `&mut self`.
+    pub fn estimate_join_count(&mut self) -> Option<f64> {
+        self.sketches.as_mut().map(|s| s.estimate_join_count())
     }
 
     fn score_window_with_state(

@@ -10,9 +10,18 @@
 //! once, bit-packed, and memoized in a [`SignCache`]. All estimates are
 //! bit-identical to the legacy AoS layout under the same seed (enforced by
 //! `tests/equivalence.rs`).
+//!
+//! Updates are deferred: an arrival only counts its join key in a bounded
+//! pending table, and each distinct key folds once, weighted by its count,
+//! when something reads the counters ([`SketchBank::settle`], DESIGN.md
+//! §17). Every reader settles first, which is why they take `&mut self`.
 
 use crate::kernel;
-use crate::signs::{combine_packed_signs, SignCache, SignCacheStats, SignFamilies};
+use crate::pending::PendingFolds;
+use crate::score_cache::MAX_CACHED_ATTRS;
+use crate::signs::{
+    combine_packed_sign_keys, combine_packed_signs, SignCache, SignCacheStats, SignFamilies,
+};
 use mstream_types::{JoinQuery, StreamId, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,8 +65,8 @@ impl BankConfig {
 }
 
 /// Reusable query-path buffers (packed sign words, per-copy statistics,
-/// group means) plus the packed-sign memo. Kept behind a `RefCell` so the
-/// read-only estimation API (`estimate_join_count`, `productivity`) stays
+/// group means) plus the packed-sign memo. Kept behind a `RefCell` so
+/// [`SketchBank::packed_signs_into`] and the sign-cache accessors stay
 /// `&self` while never allocating per call.
 #[derive(Clone, Debug, Default)]
 struct BankScratch {
@@ -80,9 +89,13 @@ pub struct SketchBank {
     incidence: Vec<Vec<(usize, usize)>>,
     /// SoA hash coefficient banks, one polynomial per (predicate, copy).
     families: SignFamilies,
-    /// `counters[k * copies + c]` = atomic sketch `X_k` in copy `c`.
+    /// `counters[k * copies + c]` = atomic sketch `X_k` in copy `c`, as of
+    /// the last settle.
     counters: Vec<i64>,
-    /// Tuples folded per stream this epoch.
+    /// Arrivals counted but not yet folded into `counters`. Serialized with
+    /// the bank, so a round trip loses no update.
+    pending: PendingFolds,
+    /// Tuples observed per stream this epoch (settled or pending).
     tuples: Vec<u64>,
     /// Query scratch + packed-sign memo (not part of the logical state).
     #[serde(skip)]
@@ -108,6 +121,7 @@ impl SketchBank {
             incidence,
             families,
             counters: vec![0; n_streams * copies],
+            pending: PendingFolds::default(),
             tuples: vec![0; n_streams],
             scratch: RefCell::new(BankScratch::default()),
         }
@@ -131,26 +145,74 @@ impl SketchBank {
         &self.incidence[stream.index()]
     }
 
-    /// Folds a tuple of `stream` (given its full value row) into every copy.
+    /// Adds a tuple of `stream` (given its full value row) to every copy.
     ///
-    /// Cost: one packed-sign lookup per incident predicate (a polynomial
-    /// sweep on cache miss, a memcpy-sized fetch on hit), one XOR combine,
-    /// and `s1·s2` counter adds — no per-copy pointer chasing.
+    /// Cost per arrival: one probe of the pending-fold table, which counts
+    /// the tuple under its incident join-attribute values. The `s1·s2`
+    /// counter adds happen once per distinct key per settle, not once per
+    /// arrival ([`SketchBank::settle`]). A full table settles first; a
+    /// stream with more incident attributes than a key holds folds at
+    /// once, through the same weighted kernel with weight 1.
     pub fn update(&mut self, stream: StreamId, values: &[Value]) {
         let k = stream.index();
         debug_assert!(k < self.n_streams);
+        self.tuples[k] += 1;
+        let incidence = &self.incidence[k];
+        if incidence.len() > MAX_CACHED_ATTRS {
+            let copies = self.config.copies();
+            fold_key(
+                &self.families,
+                self.scratch.get_mut(),
+                incidence
+                    .iter()
+                    .map(|&(pred, attr)| (pred, values[attr].raw())),
+                1,
+                &mut self.counters[k * copies..(k + 1) * copies],
+            );
+            return;
+        }
+        let mut key = [0u64; MAX_CACHED_ATTRS];
+        for (slot, &(_, attr)) in key.iter_mut().zip(incidence) {
+            *slot = values[attr].raw();
+        }
+        if !self.pending.bump(k as u32, key) {
+            self.settle();
+            let counted = self.pending.bump(k as u32, key);
+            debug_assert!(counted, "an empty pending table accepts any key");
+        }
+    }
+
+    /// Folds every pending key into the counters: one packed-sign lookup
+    /// and one weighted fold `X_k[c] += count · ξ_c(key)` per distinct
+    /// key. Exact — integer addition is associative, so the counters equal
+    /// an eager per-arrival fold bit for bit. Every reader of the counters
+    /// calls this first; it is a no-op when nothing is pending.
+    pub fn settle(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
         let copies = self.config.copies();
         let scratch = self.scratch.get_mut();
-        combine_packed_signs(
-            &self.families,
-            &mut scratch.cache,
-            &self.incidence[k],
-            values,
-            &mut scratch.words,
-        );
-        let row = &mut self.counters[k * copies..(k + 1) * copies];
-        kernel::fold_packed_signs(&scratch.words, row);
-        self.tuples[k] += 1;
+        for e in self.pending.entries() {
+            let k = e.stream as usize;
+            fold_key(
+                &self.families,
+                scratch,
+                self.incidence[k]
+                    .iter()
+                    .zip(e.values)
+                    .map(|(&(pred, _), value)| (pred, value)),
+                e.count,
+                &mut self.counters[k * copies..(k + 1) * copies],
+            );
+        }
+        self.pending.clear();
+    }
+
+    /// Number of distinct join keys awaiting a settle (never more than
+    /// [`crate::PENDING_FOLD_BOUND`]).
+    pub fn pending_keys(&self) -> usize {
+        self.pending.len()
     }
 
     /// The ξ-sign product of a tuple of `stream` in copy `c`
@@ -180,24 +242,38 @@ impl SketchBank {
         );
     }
 
-    /// The raw atomic-sketch counter `X_k` of `stream` in copy `c`.
+    /// The raw atomic-sketch counter `X_k` of `stream` in copy `c`
+    /// (settles first).
     #[inline]
-    pub fn sketch_value(&self, c: usize, stream: StreamId) -> i64 {
-        self.counters[stream.index() * self.config.copies() + c]
+    pub fn sketch_value(&mut self, c: usize, stream: StreamId) -> i64 {
+        let copies = self.config.copies();
+        self.counters()[stream.index() * copies + c]
+    }
+
+    /// Every stream's settled counters, stream-major
+    /// (`[k * copies + c]` = `X_k` in copy `c`) — the layout the tumbling
+    /// layer's snapshots share.
+    #[inline]
+    pub(crate) fn counters(&mut self) -> &[i64] {
+        self.settle();
+        &self.counters
     }
 
     /// The contiguous per-copy counter row of `stream` (`X_k` for every
-    /// copy) — the flat view the tumbling layer snapshots and multiplies.
+    /// copy), settled — the flat view the tumbling layer snapshots and
+    /// multiplies.
     #[inline]
-    pub fn counters_row(&self, stream: StreamId) -> &[i64] {
+    pub fn counters_row(&mut self, stream: StreamId) -> &[i64] {
         let copies = self.config.copies();
         let k = stream.index();
-        &self.counters[k * copies..(k + 1) * copies]
+        &self.counters()[k * copies..(k + 1) * copies]
     }
 
     /// Takes a snapshot of `stream`'s per-copy counters and resets them
     /// (per-stream epoch rollover for tuple-based windows, paper §4.1).
+    /// Settles every stream first; the other streams' rows stay live.
     pub fn take_stream_snapshot(&mut self, stream: StreamId) -> Vec<i64> {
+        self.settle();
         let copies = self.config.copies();
         let k = stream.index();
         let row = &mut self.counters[k * copies..(k + 1) * copies];
@@ -207,15 +283,17 @@ impl SketchBank {
         snapshot
     }
 
-    /// Resets every atomic sketch (epoch rollover); hash families persist,
-    /// and so does the packed-sign memo — sign vectors depend only on the
-    /// families, so they stay valid across epochs.
+    /// Resets every atomic sketch (epoch rollover), discarding pending folds
+    /// with the epoch they belong to; hash families persist, and so does the
+    /// packed-sign memo — sign vectors depend only on the families, so they
+    /// stay valid across epochs.
     pub fn reset(&mut self) {
         self.counters.fill(0);
+        self.pending.clear();
         self.tuples.fill(0);
     }
 
-    /// Number of tuples folded into stream `k` this epoch.
+    /// Number of tuples added to stream `k` this epoch (settled or not).
     pub fn tuples_seen(&self, stream: StreamId) -> u64 {
         self.tuples[stream.index()]
     }
@@ -232,13 +310,14 @@ impl SketchBank {
     }
 
     /// Median-of-means estimate of the full multi-way COUNT
-    /// `|W_1 ⋈ … ⋈ W_n|` from this bank's sketches.
-    pub fn estimate_join_count(&self) -> f64 {
+    /// `|W_1 ⋈ … ⋈ W_n|` from this bank's sketches (settles first).
+    pub fn estimate_join_count(&mut self) -> f64 {
+        self.settle();
         let copies = self.config.copies();
-        let mut scratch = self.scratch.borrow_mut();
+        let scratch = self.scratch.get_mut();
         let BankScratch {
             per_copy, groups, ..
-        } = &mut *scratch;
+        } = scratch;
         per_copy.resize(copies, 0.0);
         kernel::column_products(&self.counters, copies, usize::MAX, per_copy);
         median_of_means_into(self.config.s1, self.config.s2, per_copy, groups)
@@ -250,23 +329,37 @@ impl SketchBank {
     ///
     /// The estimate is unbiased but can come out negative for unproductive
     /// tuples; callers that need a priority should clamp at zero (true
-    /// productivity is a count, hence non-negative).
-    pub fn productivity(&self, stream: StreamId, values: &[Value]) -> f64 {
+    /// productivity is a count, hence non-negative). Settles first.
+    pub fn productivity(&mut self, stream: StreamId, values: &[Value]) -> f64 {
+        self.settle();
         let i = stream.index();
         let copies = self.config.copies();
-        let mut scratch = self.scratch.borrow_mut();
         let BankScratch {
             cache,
             words,
             per_copy,
             groups,
-        } = &mut *scratch;
+        } = self.scratch.get_mut();
         combine_packed_signs(&self.families, cache, &self.incidence[i], values, words);
         per_copy.resize(copies, 0.0);
         kernel::column_products(&self.counters, copies, i, per_copy);
         kernel::apply_packed_signs(words, per_copy);
         median_of_means_into(self.config.s1, self.config.s2, per_copy, groups)
     }
+}
+
+/// The bank's one fold path: `count` arrivals of a join key — its incident
+/// `(predicate index, raw value)` pairs — folded into a stream's counter
+/// `row` as `row[c] += count · ξ_c(key)`.
+fn fold_key(
+    families: &SignFamilies,
+    scratch: &mut BankScratch,
+    keys: impl IntoIterator<Item = (usize, u64)>,
+    count: i64,
+    row: &mut [i64],
+) {
+    combine_packed_sign_keys(families, &mut scratch.cache, keys, &mut scratch.words);
+    kernel::fold_weighted_signs(&scratch.words, count, row);
 }
 
 /// Median over `s2` groups of means over `s1` per-copy statistics laid out
@@ -543,7 +636,7 @@ mod tests {
     #[test]
     fn empty_bank_estimates_zero() {
         let q = chain_query();
-        let bank = SketchBank::new(&q, BankConfig::default());
+        let mut bank = SketchBank::new(&q, BankConfig::default());
         assert_eq!(bank.estimate_join_count(), 0.0);
         assert_eq!(bank.productivity(StreamId(0), &v(1, 1)), 0.0);
     }

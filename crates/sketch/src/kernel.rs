@@ -128,18 +128,30 @@ fn check_group_shape(per_copy: &[f64], s1: usize, s2: usize) {
 // Dispatching entry points (the public kernel API).
 // ---------------------------------------------------------------------------
 
-/// Adds the packed ±1 signs in `words` into per-copy counters:
-/// `counters[c] += +1` where bit `c` is clear, `−1` where set.
+/// Adds `weight` copies of the packed ±1 signs in `words` into per-copy
+/// counters: `counters[c] += weight` where bit `c` is clear, `−weight`
+/// where set. The bank folds each distinct pending join key once with its
+/// arrival count as the weight (DESIGN.md §17); integer addition is exact,
+/// so one weighted fold equals `weight` unit folds bit for bit.
 ///
 /// `counters` may be shorter than the bit capacity of `words` (the last
 /// word's tail bits are ignored); it must not be longer. Empty `counters`
 /// (with any `words`, including none) is a no-op.
-pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
+pub fn fold_weighted_signs(words: &[u64], weight: i64, counters: &mut [i64]) {
     check_sign_shape(words, counters.len(), "counters");
     match kernel_mode() {
-        KernelMode::Scalar => scalar::fold_packed_signs(words, counters),
-        _ => lanes::fold_packed_signs(words, counters),
+        KernelMode::Scalar => scalar::fold_weighted_signs(words, weight, counters),
+        _ => lanes::fold_weighted_signs(words, weight, counters),
     }
+}
+
+/// `weight` when `bit` is 0, `−weight` when it is 1 — a branch-free
+/// conditional negation (`(w ^ m) − m` with `m` all-ones or zero), since
+/// AGMS sign bits are pseudo-random and a branch would mispredict.
+#[inline(always)]
+fn signed_weight(weight: i64, bit: u64) -> i64 {
+    let m = -(bit as i64);
+    (weight ^ m) - m
 }
 
 /// Per-copy product of the counters of every stream except `exclude`
@@ -235,11 +247,13 @@ pub fn group_sums(per_copy: &[f64], s1: usize, s2: usize, groups: &mut Vec<f64>)
 /// live in the dispatching entry points; these assume validated inputs
 /// (public so the equivalence suite and benches can pin this path).
 pub mod scalar {
-    /// Scalar [`super::fold_packed_signs`].
-    pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
+    use super::signed_weight;
+
+    /// Scalar [`super::fold_weighted_signs`].
+    pub fn fold_weighted_signs(words: &[u64], weight: i64, counters: &mut [i64]) {
         for (chunk, &w) in counters.chunks_mut(64).zip(words) {
             for (b, cnt) in chunk.iter_mut().enumerate() {
-                *cnt += 1 - 2 * ((w >> b) & 1) as i64;
+                *cnt += signed_weight(weight, (w >> b) & 1);
             }
         }
     }
@@ -318,22 +332,22 @@ pub mod scalar {
 /// because every block computes the same per-index operation sequence;
 /// only the interleaving across independent indexes changes.
 pub mod lanes {
-    use super::LANES;
+    use super::{signed_weight, LANES};
 
-    /// Lane [`super::fold_packed_signs`]: [`LANES`] counters per step,
+    /// Lane [`super::fold_weighted_signs`]: [`LANES`] counters per step,
     /// sign bits expanded in-register order.
-    pub fn fold_packed_signs(words: &[u64], counters: &mut [i64]) {
+    pub fn fold_weighted_signs(words: &[u64], weight: i64, counters: &mut [i64]) {
         for (chunk, &w) in counters.chunks_mut(64).zip(words) {
             let mut blocks = chunk.chunks_exact_mut(LANES);
             let mut base = 0u32;
             for block in &mut blocks {
                 for (l, cnt) in block.iter_mut().enumerate() {
-                    *cnt += 1 - 2 * ((w >> (base + l as u32)) & 1) as i64;
+                    *cnt += signed_weight(weight, (w >> (base + l as u32)) & 1);
                 }
                 base += LANES as u32;
             }
             for (b, cnt) in blocks.into_remainder().iter_mut().enumerate() {
-                *cnt += 1 - 2 * ((w >> (base + b as u32)) & 1) as i64;
+                *cnt += signed_weight(weight, (w >> (base + b as u32)) & 1);
             }
         }
     }
@@ -603,15 +617,22 @@ mod tests {
         let mut counters = vec![0i64; 70];
         // Copies 0 and 65 negative, everything else positive.
         let words = [1u64, 1 << 1];
-        fold_packed_signs(&words, &mut counters);
+        fold_weighted_signs(&words, 1, &mut counters);
         assert_eq!(counters[0], -1);
         assert_eq!(counters[1], 1);
         assert_eq!(counters[64], 1);
         assert_eq!(counters[65], -1);
         assert_eq!(counters.iter().sum::<i64>(), 70 - 4);
-        fold_packed_signs(&words, &mut counters);
+        fold_weighted_signs(&words, 1, &mut counters);
         assert_eq!(counters[0], -2);
         assert_eq!(counters[69], 2);
+        // A weight of w is w unit folds.
+        fold_weighted_signs(&words, 5, &mut counters);
+        assert_eq!(counters[0], -7);
+        assert_eq!(counters[65], -7);
+        assert_eq!(counters[69], 7);
+        fold_weighted_signs(&words, 0, &mut counters);
+        assert_eq!(counters[0], -7);
     }
 
     #[test]
@@ -674,7 +695,7 @@ mod tests {
     #[should_panic(expected = "fewer packed sign bits")]
     fn fold_rejects_short_words() {
         let mut counters = vec![0i64; 65];
-        fold_packed_signs(&[0], &mut counters);
+        fold_weighted_signs(&[0], 1, &mut counters);
     }
 
     #[test]
@@ -683,8 +704,8 @@ mod tests {
         // position; the zip form cannot touch `words` when there is no
         // counter chunk to fold into.
         let mut counters: Vec<i64> = Vec::new();
-        fold_packed_signs(&[], &mut counters);
-        fold_packed_signs(&[0xFFFF_FFFF_FFFF_FFFF], &mut counters);
+        fold_weighted_signs(&[], 1, &mut counters);
+        fold_weighted_signs(&[0xFFFF_FFFF_FFFF_FFFF], 3, &mut counters);
         assert!(counters.is_empty());
     }
 

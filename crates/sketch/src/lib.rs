@@ -28,6 +28,11 @@
 //!   combined across incident predicates), and contiguous counter/product
 //!   kernels that keep every estimate bit-identical to the original
 //!   array-of-structs implementation.
+//! * Deferred folding — [`SketchBank::update`] only counts the tuple's
+//!   join key in a bounded pending table; each distinct key folds once per
+//!   settle, weighted by its count ([`SketchBank::settle`], bounded by
+//!   [`PENDING_FOLD_BOUND`]), so maintenance cost follows distinct keys
+//!   per epoch, not arrivals.
 
 //!
 //! ```
@@ -43,6 +48,15 @@
 //! for _ in 0..50 {
 //!     bank.update(StreamId(1), &[Value(3)]); // 50 R-tuples with k = 3
 //! }
+//! // The 50 arrivals are one pending key; no sign vector was looked up yet.
+//! assert_eq!(bank.pending_keys(), 1);
+//! let stats = bank.sign_cache_stats();
+//! assert_eq!(stats.hits + stats.misses, 0);
+//! // Settling folds that key once, weighted by 50: one sign lookup.
+//! bank.settle();
+//! assert_eq!(bank.pending_keys(), 0);
+//! let stats = bank.sign_cache_stats();
+//! assert_eq!((stats.hits, stats.misses), (0, 1));
 //! // A fresh L-tuple with k = 3 would join ~50 partners; k = 4 none.
 //! let hot = bank.productivity(StreamId(0), &[Value(3)]);
 //! let cold = bank.productivity(StreamId(0), &[Value(4)]);
@@ -62,6 +76,7 @@ pub mod bank;
 pub mod freq;
 pub mod hash;
 pub mod kernel;
+mod pending;
 pub mod score_cache;
 pub mod signs;
 pub mod tumbling;
@@ -71,6 +86,7 @@ pub use bank::{median_of_means_into, median_of_means_slice, BankConfig, SketchBa
 pub use freq::{FreqTable, PartnerFrequency, SpaceSaving, TumblingFreq};
 pub use hash::FourWiseHash;
 pub use kernel::{kernel_mode, KernelMode, LANES};
+pub use pending::PENDING_FOLD_BOUND;
 pub use score_cache::{score_cache_env_default, ScoreCache, ScoreCacheStats, ScoreKey};
 pub use signs::{SignCache, SignCacheStats, SignFamilies};
 pub use tumbling::{EpochSpec, TumblingSketches};

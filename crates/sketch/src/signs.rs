@@ -286,10 +286,25 @@ pub fn combine_packed_signs(
     values: &[Value],
     out: &mut Vec<u64>,
 ) {
+    let keys = incidence
+        .iter()
+        .map(|&(pred, attr)| (pred, values[attr].raw()));
+    combine_packed_sign_keys(families, cache, keys, out);
+}
+
+/// [`combine_packed_signs`] over explicit `(predicate index, raw value)`
+/// pairs — the form the bank's deferred folds store, which keep only the
+/// incident values of a tuple, not its whole row.
+pub(crate) fn combine_packed_sign_keys(
+    families: &SignFamilies,
+    cache: &mut SignCache,
+    keys: impl IntoIterator<Item = (usize, u64)>,
+    out: &mut Vec<u64>,
+) {
     out.clear();
     out.resize(words_for(families.copies()), 0);
-    for (idx, &(pred, attr)) in incidence.iter().enumerate() {
-        let bits = cache.get_or_compute(families, pred, values[attr].raw());
+    for (idx, (pred, value)) in keys.into_iter().enumerate() {
+        let bits = cache.get_or_compute(families, pred, value);
         if idx == 0 {
             out.copy_from_slice(bits);
         } else {

@@ -162,13 +162,10 @@ impl TumblingSketches {
 
     /// Rolls every stream at once (time-based epochs).
     fn roll_all(&mut self) {
-        let copies = self.bank.config().copies();
         self.prev.copy_from_slice(&self.last);
         self.has_prev.copy_from_slice(&self.has_last);
-        for k in 0..self.has_last.len() {
-            self.last[k * copies..(k + 1) * copies]
-                .copy_from_slice(self.bank.counters_row(StreamId(k)));
-        }
+        // Same stream-major layout: the settled counters are the snapshot.
+        self.last.copy_from_slice(self.bank.counters());
         self.bank.reset();
         self.has_last.fill(true);
         self.cross_valid.fill(false);
@@ -272,12 +269,10 @@ impl TumblingSketches {
                 words,
                 ..
             } = self;
+            let live = bank.counters();
             let row = |k: usize| -> &[i64] {
-                if has_last[k] {
-                    &last[k * copies..(k + 1) * copies]
-                } else {
-                    bank.counters_row(StreamId(k))
-                }
+                let src = if has_last[k] { &last[..] } else { live };
+                &src[k * copies..(k + 1) * copies]
             };
             kernel::product2_signed(row(a), row(b), words, scratch);
         } else {
@@ -285,16 +280,17 @@ impl TumblingSketches {
             // per-stream rows in ascending order, choosing last-epoch or
             // live counters per stream exactly as the paper prescribes.
             self.scratch.fill(1.0);
+            let live = self.bank.counters();
             for k in 0..n {
                 if k == i {
                     continue;
                 }
-                let row: &[i64] = if self.has_last[k] {
-                    &self.last[k * copies..(k + 1) * copies]
+                let src = if self.has_last[k] {
+                    &self.last[..]
                 } else {
-                    self.bank.counters_row(StreamId(k))
+                    live
                 };
-                kernel::multiply_row(&mut self.scratch, row);
+                kernel::multiply_row(&mut self.scratch, &src[k * copies..(k + 1) * copies]);
             }
             kernel::apply_packed_signs(&self.words, &mut self.scratch);
         }
@@ -366,18 +362,19 @@ impl TumblingSketches {
         self.bank.packed_signs_into(stream, values, &mut self.words);
         self.scratch.resize(copies, 0.0);
         self.scratch.fill(1.0);
+        let live = self.bank.counters();
         for k in 0..n {
             if k == i {
                 continue;
             }
-            let row: &[i64] = if self.has_prev[k] {
-                &self.prev[k * copies..(k + 1) * copies]
+            let src = if self.has_prev[k] {
+                &self.prev[..]
             } else if self.has_last[k] {
-                &self.last[k * copies..(k + 1) * copies]
+                &self.last[..]
             } else {
-                self.bank.counters_row(StreamId(k))
+                live
             };
-            kernel::multiply_row(&mut self.scratch, row);
+            kernel::multiply_row(&mut self.scratch, &src[k * copies..(k + 1) * copies]);
         }
         kernel::apply_packed_signs(&self.words, &mut self.scratch);
         let cfg = self.bank.config();
@@ -415,19 +412,23 @@ impl TumblingSketches {
 
     /// Productivity computed against the *current* epoch's sketches
     /// (the expensive variant; exposed for the recompute-policy ablation).
-    /// Never memoized — the live bank changes on every arrival.
-    pub fn current_productivity(&self, stream: StreamId, values: &[Value]) -> f64 {
+    /// Never memoized — the live bank changes on every arrival. Settles
+    /// the bank's pending folds first, hence `&mut self`.
+    pub fn current_productivity(&mut self, stream: StreamId, values: &[Value]) -> f64 {
         self.bank.productivity(stream, values)
     }
 
-    /// Estimated size of the full multi-way join over the current epoch.
-    pub fn estimate_join_count(&self) -> f64 {
+    /// Estimated size of the full multi-way join over the current epoch
+    /// (settles the bank's pending folds first).
+    pub fn estimate_join_count(&mut self) -> f64 {
         self.bank.estimate_join_count()
     }
 
-    /// Read-only access to the underlying current-epoch bank.
-    pub fn bank(&self) -> &SketchBank {
-        &self.bank
+    /// The underlying current-epoch bank. Its counter readers settle
+    /// pending folds, so this hands out `&mut`; updating through it
+    /// bypasses the epoch discipline.
+    pub fn bank(&mut self) -> &mut SketchBank {
+        &mut self.bank
     }
 
     /// Whether `stream` has completed at least one epoch.
@@ -495,6 +496,10 @@ impl TumblingSketches {
         assert_eq!(self.cross.len(), n * copies, "cross-product shape");
         assert_eq!(self.cross_valid.len(), n, "cross_valid shape");
         assert_eq!(self.arrivals.len(), n, "arrival counter shape");
+        assert!(
+            self.bank.pending_keys() <= crate::PENDING_FOLD_BOUND,
+            "pending folds past their bound"
+        );
         match self.epoch {
             EpochSpec::Time(p) => {
                 let micros = self.next_roll.as_micros();
@@ -738,13 +743,23 @@ mod tests {
 
     #[test]
     fn sign_cache_stats_flow_through() {
+        // Sign lookups happen once per distinct pending key per settle,
+        // not once per arrival: two arrivals of one key are one lookup.
         let q = chain_query();
         let mut ts = TumblingSketches::new(&q, cfg(32, 6), EpochSpec::Time(VDur::from_secs(100)));
         ts.observe(StreamId(0), &v(1, 1), VTime::ZERO);
         ts.observe(StreamId(0), &v(1, 1), VTime::ZERO);
+        assert_eq!(ts.sign_cache_stats().misses, 0, "nothing settled yet");
+        ts.bank().settle();
         let stats = ts.sign_cache_stats();
         assert!(stats.misses >= 1);
+        assert_eq!((stats.hits, stats.misses), (0, 1), "one key, one lookup");
+        // The same key in a later settle is served from the memo.
+        ts.observe(StreamId(0), &v(1, 1), VTime::ZERO);
+        ts.bank().settle();
+        let stats = ts.sign_cache_stats();
         assert!(stats.hits >= 1, "repeated value must hit the memo");
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     /// Builds tumbling sketches past their first roll (frozen fast path

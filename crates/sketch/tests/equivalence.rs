@@ -11,10 +11,15 @@
 //! [`AtomicSketch`] primitives) and drives both implementations through
 //! identical workloads — golden vectors plus property-based random
 //! schedules covering epoch rollovers in both time- and tuple-window mode.
+//!
+//! The legacy reference folds every arrival eagerly; the bank under test
+//! defers folds per distinct join key until a reader settles them
+//! (DESIGN.md §17). The deferred-fold properties below interleave every
+//! settling reader with random updates and require the same bits.
 
 use mstream_sketch::{
     median_of_means_slice, AtomicSketch, BankConfig, EpochSpec, FourWiseHash, SketchBank,
-    TumblingSketches,
+    TumblingSketches, PENDING_FOLD_BOUND,
 };
 use mstream_types::{
     Catalog, JoinQuery, StreamId, StreamSchema, VDur, VTime, Value, WindowSpec,
@@ -136,11 +141,14 @@ impl LegacyBank {
 }
 
 /// The seed's tumbling-epoch layer: `last[c][k]` copy-major snapshots and
-/// the sign-first per-copy fold.
+/// the sign-first per-copy fold, plus the event-time `prev` snapshot that
+/// late tuples are scored against.
 struct LegacyTumbling {
     bank: LegacyBank,
     last: Vec<Vec<i64>>,
     has_last: Vec<bool>,
+    prev: Vec<Vec<i64>>,
+    has_prev: Vec<bool>,
     epoch: EpochSpec,
     next_roll: VTime,
     arrivals: Vec<u64>,
@@ -157,6 +165,8 @@ impl LegacyTumbling {
         LegacyTumbling {
             last: vec![vec![0; n_streams]; config.copies()],
             has_last: vec![false; n_streams],
+            prev: vec![vec![0; n_streams]; config.copies()],
+            has_prev: vec![false; n_streams],
             epoch,
             next_roll,
             arrivals: vec![0; n_streams],
@@ -186,8 +196,10 @@ impl LegacyTumbling {
                     self.arrivals[k] = 0;
                     let snapshot = self.bank.take_stream_snapshot(stream);
                     for (c, v) in snapshot.into_iter().enumerate() {
+                        self.prev[c][k] = self.last[c][k];
                         self.last[c][k] = v;
                     }
+                    self.has_prev[k] = self.has_last[k];
                     self.has_last[k] = true;
                     true
                 } else {
@@ -200,6 +212,8 @@ impl LegacyTumbling {
     }
 
     fn roll_all(&mut self) {
+        self.prev.clone_from(&self.last);
+        self.has_prev.clone_from(&self.has_last);
         for (c, copy) in self.bank.copies.iter().enumerate() {
             for (k, s) in copy.sketches.iter().enumerate() {
                 self.last[c][k] = s.value();
@@ -220,6 +234,40 @@ impl LegacyTumbling {
                     continue;
                 }
                 let x = if self.has_last[k] {
+                    self.last[c][k]
+                } else {
+                    self.bank.copies[c].sketches[k].value()
+                };
+                est *= x as f64;
+            }
+            *slot = est;
+        }
+        median_of_means_slice(self.bank.s1, self.bank.s2, &per_copy)
+    }
+
+    /// Late-tuple scoring: a time-mode timestamp before the current epoch
+    /// reads the `prev` snapshot, falling back per stream to `last`, then
+    /// to the live counters.
+    fn productivity_at(&mut self, stream: StreamId, values: &[Value], ts: VTime) -> f64 {
+        let late = match self.epoch {
+            EpochSpec::Time(n) => ts < self.next_roll - n,
+            EpochSpec::PerStreamTuples(_) => false,
+        };
+        if !late || !self.has_prev.iter().any(|&h| h) {
+            return self.productivity(stream, values);
+        }
+        let i = stream.index();
+        let copies = self.bank.copies.len();
+        let mut per_copy = vec![0.0f64; copies];
+        for (c, slot) in per_copy.iter_mut().enumerate() {
+            let mut est = self.bank.sign_in_copy(c, stream, values) as f64;
+            for k in 0..self.has_last.len() {
+                if k == i {
+                    continue;
+                }
+                let x = if self.has_prev[k] {
+                    self.prev[c][k]
+                } else if self.has_last[k] {
                     self.last[c][k]
                 } else {
                     self.bank.copies[c].sketches[k].value()
@@ -531,6 +579,306 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Deferred folds vs the eager reference.
+// ---------------------------------------------------------------------------
+
+/// More distinct keys on one stream than the pending table holds, so
+/// feeding them forces at least one table-full settle.
+fn distinct_burst(first: u64) -> Vec<Vec<Value>> {
+    (0..PENDING_FOLD_BOUND as u64 + 37)
+        .map(|i| v(first + i, i % 7))
+        .collect()
+}
+
+/// A JSON round trip of the bank (its pending folds included).
+fn round_trip(bank: &SketchBank) -> SketchBank {
+    let json = serde_json::to_string(bank).expect("bank serializes");
+    serde_json::from_str(&json).expect("bank deserializes")
+}
+
+#[test]
+fn serde_round_trip_keeps_pending_folds() {
+    let q = chain_query();
+    let cfg = BankConfig {
+        s1: 37,
+        s2: 2,
+        seed: 0xFEED,
+    };
+    let mut new = SketchBank::new(&q, cfg);
+    let mut old = LegacyBank::new(&q, cfg);
+    for (s, vals, _) in workload(90, 7) {
+        new.update(s, &vals);
+        old.update(s, &vals);
+    }
+    let pending = new.pending_keys();
+    assert!(pending > 0, "the workload leaves folds pending");
+    let mut back = round_trip(&new);
+    assert_eq!(
+        back.pending_keys(),
+        pending,
+        "pending folds survive the trip"
+    );
+    // Updates after the trip land on the rebuilt pending index.
+    for (s, vals, _) in workload(40, 7) {
+        back.update(s, &vals);
+        new.update(s, &vals);
+        old.update(s, &vals);
+    }
+    for b in [&mut back, &mut new] {
+        assert_eq!(
+            b.estimate_join_count().to_bits(),
+            old.estimate_join_count().to_bits()
+        );
+        for probe in 0..12u64 {
+            let vals = v(probe % 7, (probe * 5) % 7);
+            for k in 0..3 {
+                assert_eq!(
+                    b.productivity(StreamId(k), &vals).to_bits(),
+                    old.productivity(StreamId(k), &vals).to_bits(),
+                    "stream {k} probe {probe}"
+                );
+            }
+        }
+    }
+    // A settled bank round-trips too.
+    assert_eq!(new.pending_keys(), 0);
+    let mut settled = round_trip(&new);
+    for k in 0..3 {
+        assert_eq!(
+            settled.counters_row(StreamId(k)),
+            new.counters_row(StreamId(k))
+        );
+        assert_eq!(
+            settled.tuples_seen(StreamId(k)),
+            new.tuples_seen(StreamId(k))
+        );
+    }
+}
+
+#[test]
+fn pending_table_stays_within_its_bound() {
+    let q = chain_query();
+    let cfg = BankConfig {
+        s1: 9,
+        s2: 1,
+        seed: 5,
+    };
+    let mut new = SketchBank::new(&q, cfg);
+    let mut old = LegacyBank::new(&q, cfg);
+    let mut peak = 0;
+    for round in 0..3u64 {
+        for vals in distinct_burst(round * 10_000) {
+            new.update(StreamId(1), &vals);
+            old.update(StreamId(1), &vals);
+            peak = peak.max(new.pending_keys());
+            assert!(new.pending_keys() <= PENDING_FOLD_BOUND);
+        }
+    }
+    assert_eq!(
+        peak, PENDING_FOLD_BOUND,
+        "the table fills before it settles"
+    );
+    for c in 0..cfg.copies() {
+        assert_eq!(
+            new.sketch_value(c, StreamId(1)),
+            old.copies[c].sketches[1].value()
+        );
+    }
+}
+
+#[test]
+fn wide_streams_fold_at_once_and_stay_exact() {
+    // A 6-way star whose hub joins five spokes: the hub has more incident
+    // attributes than a pending key holds, so its arrivals fold at once
+    // while the spokes' arrivals defer.
+    let mut c = Catalog::new();
+    c.add_stream(StreamSchema::new("H", &["A1", "A2", "A3", "A4", "A5"]));
+    let spokes = ["S1", "S2", "S3", "S4", "S5"];
+    for s in spokes {
+        c.add_stream(StreamSchema::new(s, &["A1"]));
+    }
+    let pairs: Vec<(String, String)> = spokes
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (format!("H.A{}", i + 1), format!("{s}.A1")))
+        .collect();
+    let pairs: Vec<(&str, &str)> = pairs
+        .iter()
+        .map(|(a, b)| (a.as_str(), b.as_str()))
+        .collect();
+    let q = JoinQuery::from_names(c, &pairs, WindowSpec::secs(60)).unwrap();
+    let cfg = BankConfig {
+        s1: 21,
+        s2: 3,
+        seed: 31,
+    };
+    let mut new = SketchBank::new(&q, cfg);
+    let mut old = LegacyBank::new(&q, cfg);
+    let hub = |i: u64| (0..5).map(|a| Value((i + a) % 4)).collect::<Vec<_>>();
+    for i in 0..120u64 {
+        let (s, vals) = if i % 3 == 0 {
+            (StreamId(0), hub(i))
+        } else {
+            (StreamId(1 + (i as usize % 5)), vec![Value(i % 4)])
+        };
+        let pending = new.pending_keys();
+        new.update(s, &vals);
+        old.update(s, &vals);
+        if s == StreamId(0) {
+            assert_eq!(new.pending_keys(), pending, "hub arrivals never defer");
+        }
+    }
+    assert_eq!(
+        new.estimate_join_count().to_bits(),
+        old.estimate_join_count().to_bits()
+    );
+    for i in 0..8u64 {
+        assert_eq!(
+            new.productivity(StreamId(0), &hub(i)).to_bits(),
+            old.productivity(StreamId(0), &hub(i)).to_bits()
+        );
+        for k in 1..6 {
+            let vals = [Value(i % 4)];
+            assert_eq!(
+                new.productivity(StreamId(k), &vals).to_bits(),
+                old.productivity(StreamId(k), &vals).to_bits()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random update schedules interleaved with every settling reader of
+    /// the bank — estimate, productivity, raw counters, per-stream
+    /// snapshots, reset, table-full bursts and serde round trips — agree
+    /// bit for bit with the eager legacy bank.
+    #[test]
+    fn deferred_bank_matches_eager_reference(
+        seed in any::<u64>(),
+        s1 in 1usize..12,
+        s2 in 1usize..3,
+        ops in prop::collection::vec(
+            (0u8..10, 0usize..3, 0u64..9, 0u64..9), 1..200),
+    ) {
+        let q = chain_query();
+        let cfg = BankConfig { s1, s2, seed };
+        let mut new = SketchBank::new(&q, cfg);
+        let mut old = LegacyBank::new(&q, cfg);
+        for (op, s, a, b) in ops {
+            let sid = StreamId(s);
+            match op {
+                0..=4 => {
+                    new.update(sid, &v(a, b));
+                    old.update(sid, &v(a, b));
+                }
+                5 => prop_assert_eq!(
+                    new.estimate_join_count().to_bits(),
+                    old.estimate_join_count().to_bits()
+                ),
+                6 => prop_assert_eq!(
+                    new.productivity(sid, &v(a, b)).to_bits(),
+                    old.productivity(sid, &v(a, b)).to_bits()
+                ),
+                7 => {
+                    let c = a as usize % cfg.copies();
+                    prop_assert_eq!(new.sketch_value(c, sid), old.copies[c].sketches[s].value());
+                    prop_assert_eq!(new.tuples_seen(sid), old.copies[c].sketches[s].tuples());
+                }
+                8 => prop_assert_eq!(new.take_stream_snapshot(sid), old.take_stream_snapshot(sid)),
+                _ => match a % 3 {
+                    0 => {
+                        new.reset();
+                        old.reset();
+                    }
+                    1 => {
+                        for vals in distinct_burst(b * 1000) {
+                            new.update(sid, &vals);
+                            old.update(sid, &vals);
+                        }
+                    }
+                    _ => new = round_trip(&new),
+                },
+            }
+            prop_assert!(new.pending_keys() <= PENDING_FOLD_BOUND);
+        }
+        for k in 0..3 {
+            let want: Vec<i64> = old.copies.iter().map(|c| c.sketches[k].value()).collect();
+            prop_assert_eq!(new.counters_row(StreamId(k)), want.as_slice());
+        }
+    }
+
+    /// The same interleaving through the tumbling layer, in both epoch
+    /// disciplines: first-epoch mixed-path productivity, late
+    /// `productivity_at` against the previous epoch, live estimates,
+    /// current-epoch productivity, and bursts that fill the pending table
+    /// between rollovers.
+    #[test]
+    fn deferred_tumbling_matches_eager_reference(
+        seed in any::<u64>(),
+        s1 in 1usize..10,
+        time_mode in any::<bool>(),
+        period in 1u64..12,
+        ops in prop::collection::vec(
+            (0u8..10, 0usize..3, 0u64..8, 0u64..8, 0u64..30), 1..160),
+    ) {
+        let q = chain_query();
+        let cfg = BankConfig { s1, s2: 1, seed };
+        let epoch = if time_mode {
+            EpochSpec::Time(VDur::from_secs(period))
+        } else {
+            EpochSpec::PerStreamTuples(period)
+        };
+        let mut new = TumblingSketches::new(&q, cfg, epoch);
+        let mut old = LegacyTumbling::new(&q, cfg, epoch);
+        let mut now = 0u64;
+        for (op, s, a, b, dt) in ops {
+            let sid = StreamId(s);
+            match op {
+                0..=4 => {
+                    now += dt / 8;
+                    let t = VTime::from_secs(now);
+                    prop_assert_eq!(new.observe(sid, &v(a, b), t), old.observe(sid, &v(a, b), t));
+                }
+                5 => prop_assert_eq!(
+                    new.productivity(sid, &v(a, b)).to_bits(),
+                    old.productivity(sid, &v(a, b)).to_bits()
+                ),
+                6 => {
+                    let ts = VTime::from_secs(now.saturating_sub(dt % (2 * period + 1)));
+                    prop_assert_eq!(
+                        new.productivity_at(sid, &v(a, b), ts).to_bits(),
+                        old.productivity_at(sid, &v(a, b), ts).to_bits()
+                    );
+                }
+                7 => prop_assert_eq!(
+                    new.estimate_join_count().to_bits(),
+                    old.bank.estimate_join_count().to_bits()
+                ),
+                8 => prop_assert_eq!(
+                    new.current_productivity(sid, &v(a, b)).to_bits(),
+                    old.bank.productivity(sid, &v(a, b)).to_bits()
+                ),
+                _ => {
+                    let t = VTime::from_secs(now);
+                    for vals in distinct_burst(b * 1000) {
+                        prop_assert_eq!(new.observe(sid, &vals, t), old.observe(sid, &vals, t));
+                    }
+                }
+            }
+        }
+        for s in 0..3 {
+            let probe = v(s as u64, 1);
+            prop_assert_eq!(
+                new.productivity(StreamId(s), &probe).to_bits(),
+                old.productivity(StreamId(s), &probe).to_bits()
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Vector-vs-scalar kernel bit-identity (PR 9).
 //
 // Every kernel in `mstream_sketch::kernel` ships a scalar reference path
@@ -602,22 +950,30 @@ mod kernels {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn fold_packed_signs_modes_agree(
+        fn fold_weighted_signs_modes_agree(
             sampled_len in 0usize..200,
             seed in any::<u64>(),
+            weight in -1000i64..1000,
         ) {
             let len = pick_len(sampled_len, seed);
             let words = sign_words(seed, len);
-            // Halved so the ±1 fold cannot overflow debug arithmetic; the
-            // magnitude extremes still exercise the full word layout.
+            // Halved so the weighted fold cannot overflow debug arithmetic;
+            // the magnitude extremes still exercise the full word layout.
             let mut a: Vec<i64> = (0..len).map(|i| extreme_i64(seed, i) / 2).collect();
             let mut b = a.clone();
             let mut c = a.clone();
-            scalar::fold_packed_signs(&words, &mut a);
-            lanes::fold_packed_signs(&words, &mut b);
-            kernel::fold_packed_signs(&words, &mut c);
+            scalar::fold_weighted_signs(&words, weight, &mut a);
+            lanes::fold_weighted_signs(&words, weight, &mut b);
+            kernel::fold_weighted_signs(&words, weight, &mut c);
             prop_assert_eq!(&a, &b);
             prop_assert_eq!(&a, &c);
+            // One fold of weight w is w unit folds (and -w for w < 0).
+            let mut units: Vec<i64> = (0..len).map(|i| extreme_i64(seed, i) / 2).collect();
+            let step = if weight < 0 { -1 } else { 1 };
+            for _ in 0..weight.unsigned_abs() {
+                kernel::fold_weighted_signs(&words, step, &mut units);
+            }
+            prop_assert_eq!(&a, &units);
         }
 
         #[test]

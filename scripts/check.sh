@@ -21,6 +21,25 @@ cargo run --release -p mstream-audit -- sweep --cases 50 --seed 7
 # score cache through the event-time path (prev-epoch memo keying).
 cargo run --release -p mstream-audit -- disorder --cases 25 --seed 7
 
+# Benchmark harness unit tests: perfbench is its own cargo workspace, so
+# the root `cargo test` above never reaches them.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+# Deferred sketch-fold smoke (DESIGN.md §17): one-second traced runs of the
+# multi-query and sharded workloads, whose sketch banks settle pending
+# folds at rollovers, must pass the benchmark's exact-oracle, fingerprint
+# and row checks (`"correct": true` on the last output line).
+for W in multi_churn sharded_zipf; do
+  LAST=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$W" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+  W="$W" LAST="$LAST" python3 - <<'EOF'
+import json, os
+r = json.loads(os.environ["LAST"])
+if r.get("correct") is not True:
+    raise SystemExit(f"FAIL: traced {os.environ['W']} smoke reported correct={r.get('correct')}")
+print(f"perfbench smoke: {os.environ['W']} correct ({r['attempted']} arrivals attempted)")
+EOF
+done
+
 # Sharded-vs-single CLI differential smoke: the same key-partitionable
 # query and trace must produce the same output count at S in {1,2,4} when
 # nothing sheds (full memory, blocking channels).
