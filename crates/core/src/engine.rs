@@ -2,7 +2,7 @@
 
 use crate::ingest::{Arrival, EmitSink, IngestOutcome, IngestRole};
 use crate::report::EngineMetrics;
-use mstream_join::{probe_each, ProbePlan};
+use mstream_join::{probe_each_with, ProbePlan, ProbeScratch};
 use mstream_shed_policies::{clamp_score, PriorityCtx, Requirements, ShedPolicy};
 use mstream_sketch::{BankConfig, EpochSpec, TumblingFreq, TumblingSketches};
 use mstream_types::{
@@ -138,6 +138,8 @@ pub struct ShedJoinEngine {
     /// Per-stream scratch reused across arrivals for per-slot produced
     /// counting (coalesced heap rescoring).
     produced_scratch: Vec<ProducedScratch>,
+    /// Probe-kernel buffers reused by every arrival.
+    probe_scratch: ProbeScratch,
     /// Bounded-disorder reorder buffers; `None` runs the legacy
     /// arrival-time path untouched.
     front: Option<EventTimeFrontEnd>,
@@ -273,6 +275,7 @@ impl ShedJoinEngine {
             next_seq: SeqNo(0),
             metrics: EngineMetrics::default(),
             produced_scratch: (0..n).map(|_| ProducedScratch::default()).collect(),
+            probe_scratch: ProbeScratch::default(),
             front: config.disorder.map(|k| EventTimeFrontEnd::new(k, n)),
             batch_scratch: Vec::new(),
         })
@@ -705,7 +708,8 @@ impl ShedJoinEngine {
         let origin = stream.index();
         let produced = if role.probe {
             let scratch = &mut self.produced_scratch;
-            probe_each(&self.plans[origin], &tuple, &self.stores, |b| {
+            let plan = &self.plans[origin];
+            probe_each_with(&mut self.probe_scratch, plan, &tuple, &self.stores, |b| {
                 if track {
                     for (k, s) in scratch.iter_mut().enumerate() {
                         if k != origin {
@@ -902,7 +906,7 @@ impl ShedJoinEngine {
 
     fn expire_all(&mut self, now: VTime) {
         for store in &mut self.stores {
-            self.metrics.expired += store.expire(now).len() as u64;
+            self.metrics.expired += store.expire(now) as u64;
         }
     }
 

@@ -139,6 +139,20 @@ struct TrieNode {
     /// `(class id, class-local origin stream)` pairs completing here.
     terminals: Vec<(usize, StreamId)>,
     children: Vec<TrieNode>,
+    /// Drive and residuals read only the arriving tuple, so the candidate
+    /// list is the same under every parent candidate: the parent probes it
+    /// once per visit instead of once per parent candidate.
+    origin_only: bool,
+}
+
+/// One live store as the per-arrival loops see it: its id, stream, owner
+/// class and the owner's local stream for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct LiveStore {
+    store: usize,
+    gstream: StreamId,
+    owner: usize,
+    local: StreamId,
 }
 
 /// Applies every pending produced-output credit of every store: one
@@ -146,23 +160,22 @@ struct TrieNode {
 /// refreshed by the store owner's policy (credits are only accrued by
 /// owner-class emissions, keeping the owner's counters solo-identical).
 /// The multi-query twin of the solo engine's `flush_produced`; shares its
-/// generation-safe [`ProducedScratch`]. A store removed while credits were
-/// pending just drops them (its tuples are gone with it).
+/// generation-safe [`ProducedScratch`]. Only live stores can hold credits:
+/// every ingest call drains them before it returns, and a freed store's
+/// scratch is reset with it.
 fn flush_credit_stores(
     stores: &mut [Option<StoreEntry>],
     scratches: &mut [ProducedScratch],
     classes: &[Option<QueryClass>],
+    live: &[LiveStore],
 ) {
-    for (slot, scratch) in stores.iter_mut().zip(scratches.iter_mut()) {
+    for l in live {
+        let scratch = &mut scratches[l.store];
         if scratch.touched.is_empty() {
             continue;
         }
-        let Some(entry) = slot.as_mut() else {
-            scratch.drain_credits(|_, _| {});
-            continue;
-        };
-        let owner = entry.users[0];
-        let policy = &classes[owner].as_ref().expect("owner is live").policy;
+        let entry = stores[l.store].as_mut().expect("listed store is live");
+        let policy = &classes[l.owner].as_ref().expect("owner is live").policy;
         scratch.drain_credits(|slot, cnt| {
             let Some(total) = entry.store.add_produced(slot, cnt) else {
                 return;
@@ -205,11 +218,17 @@ pub struct MultiQueryEngine {
     stores: Vec<Option<StoreEntry>>,
     /// Per-store produced-credit scratch (parallel to `stores`).
     scratches: Vec<ProducedScratch>,
-    /// Per-class slot scratch for assembling emission bindings (parallel
-    /// to `classes`).
-    emit_scratch: Vec<Vec<Option<Slot>>>,
     /// Per global stream: merged probe-trie roots.
     tries: Vec<Vec<TrieNode>>,
+    /// Per global stream: `(class id, class-local stream)` of every live
+    /// class reading it, ascending class id.
+    observers: Vec<Vec<(usize, StreamId)>>,
+    /// Every live store, ascending store id. With `observers` this keeps
+    /// the per-arrival loops proportional to the live plane, not to every
+    /// class and store ever registered.
+    live_stores: Vec<LiveStore>,
+    /// Trie-walk buffers reused by every arrival.
+    walk_scratch: WalkScratch,
     next_seq: SeqNo,
     metrics: EngineMetrics,
     /// Cache counters of classes dismantled by
@@ -299,8 +318,10 @@ impl MultiQueryEngine {
             classes: Vec::new(),
             stores: Vec::new(),
             scratches: Vec::new(),
-            emit_scratch: Vec::new(),
             tries: Vec::new(),
+            observers: Vec::new(),
+            live_stores: Vec::new(),
+            walk_scratch: WalkScratch::default(),
             next_seq: SeqNo(0),
             metrics: EngineMetrics::default(),
             retired_cache: RetiredCacheStats::default(),
@@ -386,7 +407,6 @@ impl MultiQueryEngine {
                 &engine.config,
             )?;
             engine.classes.push(Some(class));
-            engine.emit_scratch.push(Vec::new());
             for m in members {
                 if engine.queries.len() <= m.index() {
                     engine.queries.resize_with(m.index() + 1, || None);
@@ -599,7 +619,6 @@ impl MultiQueryEngine {
             self.scratches.push(ProducedScratch::default());
         }
         self.classes.push(Some(class));
-        self.emit_scratch.push(Vec::new());
         self.queries.push(Some(QueryState {
             class: cid,
             produced: 0,
@@ -632,9 +651,25 @@ impl MultiQueryEngine {
             let store_of = retired.store_of;
             for si in store_of {
                 let entry = self.stores[si].as_mut().expect("class store is live");
+                let owned = entry.users[0] == cid;
                 entry.users.retain(|&c| c != cid);
-                if entry.users.is_empty() {
-                    self.stores[si] = None;
+                match entry.users.first() {
+                    None => {
+                        self.stores[si] = None;
+                        self.scratches[si] = ProducedScratch::default();
+                    }
+                    Some(&heir) if owned => {
+                        // Residents carry the departed owner's local stream
+                        // tag; the heir scores them under its own.
+                        let heir = self.classes[heir].as_ref().expect("store user is live");
+                        let k = heir
+                            .store_of
+                            .iter()
+                            .position(|&s| s == si)
+                            .expect("heir uses the store");
+                        entry.store.retag(StreamId(k));
+                    }
+                    Some(_) => {}
                 }
             }
         }
@@ -669,7 +704,7 @@ impl MultiQueryEngine {
         now: VTime,
         sink: &mut impl EmitSink,
     ) -> IngestOutcome {
-        self.ingest_tuple_inner(tuple, now, sink, false)
+        self.ingest_tuple_inner::<FrameKernel>(tuple, now, sink, false)
     }
 
     /// Runs a pre-minted batch through the shared data plane, replaying
@@ -681,6 +716,14 @@ impl MultiQueryEngine {
     /// at-capacity insert, and at batch end. Items are drained; the
     /// vector's capacity is retained for recycling.
     pub fn ingest_tuple_batch(
+        &mut self,
+        items: &mut Vec<(Tuple, VTime)>,
+        sink: &mut impl EmitSink,
+    ) -> IngestOutcome {
+        self.ingest_batch_with::<FrameKernel>(items, sink)
+    }
+
+    fn ingest_batch_with<K: TrieKernel>(
         &mut self,
         items: &mut Vec<(Tuple, VTime)>,
         sink: &mut impl EmitSink,
@@ -705,12 +748,17 @@ impl MultiQueryEngine {
             shed: 0,
         };
         for (tuple, now) in items.drain(..) {
-            let out = self.ingest_tuple_inner(tuple, now, sink, true);
+            let out = self.ingest_tuple_inner::<K>(tuple, now, sink, true);
             total.produced += out.produced;
             total.shed += out.shed;
             total.stored = out.stored;
         }
-        flush_credit_stores(&mut self.stores, &mut self.scratches, &self.classes);
+        flush_credit_stores(
+            &mut self.stores,
+            &mut self.scratches,
+            &self.classes,
+            &self.live_stores,
+        );
         total
     }
 
@@ -733,7 +781,7 @@ impl MultiQueryEngine {
         out
     }
 
-    fn ingest_tuple_inner(
+    fn ingest_tuple_inner<K: TrieKernel>(
         &mut self,
         tuple: Tuple,
         now: VTime,
@@ -750,8 +798,10 @@ impl MultiQueryEngine {
             classes,
             stores,
             scratches,
-            emit_scratch,
             tries,
+            observers,
+            live_stores,
+            walk_scratch,
             metrics,
             ..
         } = self;
@@ -759,11 +809,8 @@ impl MultiQueryEngine {
         //    state under its *local* stream id; a class whose epoch rolls
         //    over rebuilds the priorities of the stores it owns (exactly
         //    its solo rollover, store tuples already carry its tags).
-        for cid in 0..classes.len() {
-            let Some(class) = classes[cid].as_mut() else {
-                continue;
-            };
-            let Some(k) = class.local_of(g) else { continue };
+        for &(cid, k) in &observers[g.index()] {
+            let class = classes[cid].as_mut().expect("observer class is live");
             let mut rolled = false;
             if let Some(sk) = class.sketches.as_mut() {
                 rolled |= sk.observe(k, &tuple.values, now);
@@ -781,7 +828,7 @@ impl MultiQueryEngine {
             // The rebuild reads produced counts: land any credits still
             // pending from earlier arrivals of a batch first (no-op on the
             // per-arrival path, whose scratches are always drained).
-            flush_credit_stores(stores, scratches, classes);
+            flush_credit_stores(stores, scratches, classes, live_stores);
             let class = classes[cid].as_mut().expect("class observed above");
             let QueryClass {
                 query,
@@ -839,31 +886,26 @@ impl MultiQueryEngine {
         //    oldest-first, so expiring a store between its owner's events
         //    changes only the batching of removals, never their sequence —
         //    owner-solo equivalence is preserved.
-        for entry in stores.iter_mut().flatten() {
-            metrics.expired += entry.store.expire(now).len() as u64;
+        for l in live_stores.iter() {
+            let entry = stores[l.store].as_mut().expect("listed store is live");
+            metrics.expired += entry.store.expire(now) as u64;
         }
         // 3. Probe every interested class through the merged trie, before
         //    any insertion (the paper's operator probes partner windows
         //    only). Shared prefixes are enumerated once.
-        let produced = {
-            let entries: &[Option<StoreEntry>] = stores;
-            let mut ctx = ProbeCtx {
-                entries,
-                classes,
-                queries,
-                scratches,
-                emit_scratch,
-                sink,
-                tuple: &tuple,
-                path: Vec::with_capacity(4),
-                produced: 0,
-            };
-            if let Some(roots) = tries.get(g.index()) {
-                for node in roots {
-                    ctx.walk(node);
-                }
+        let produced = match tries.get(g.index()) {
+            Some(roots) => {
+                let mut ctx = ProbeCtx {
+                    entries: stores,
+                    classes,
+                    queries,
+                    scratches,
+                    sink,
+                    tuple: &tuple,
+                };
+                K::walk(&mut ctx, roots, walk_scratch)
             }
-            ctx.produced
+            None => 0,
         };
         metrics.total_output += produced;
         metrics.processed += 1;
@@ -872,37 +914,31 @@ impl MultiQueryEngine {
         //    leave them pending instead, so a slot matched by many batch
         //    members still costs one update.
         if !defer_credits {
-            flush_credit_stores(stores, scratches, classes);
+            flush_credit_stores(stores, scratches, classes, live_stores);
         }
         // 5. Store the arrival once per (stream, window) store, scored and
         //    tagged by the store's owner; shed if full. A full store evicts
         //    by priority, so the batched path lands pending refreshes
         //    first to pick the same victim the per-arrival replay would.
+        let arrival_stores = || live_stores.iter().filter(|l| l.gstream == g);
         if defer_credits
-            && stores.iter().flatten().any(|e| {
-                e.gstream == g && e.store.len() >= e.store.capacity()
+            && arrival_stores().any(|l| {
+                let store = &stores[l.store]
+                    .as_ref()
+                    .expect("listed store is live")
+                    .store;
+                store.len() >= store.capacity()
             })
         {
-            flush_credit_stores(stores, scratches, classes);
+            flush_credit_stores(stores, scratches, classes, live_stores);
         }
         let mut stored = false;
         let mut shed = 0u64;
-        for (si, slot) in stores.iter_mut().enumerate() {
-            let Some(entry) = slot.as_mut() else {
-                continue;
-            };
-            if entry.gstream != g {
-                continue;
-            }
-            let owner = entry.users[0];
-            let class = classes[owner].as_mut().expect("owner is live");
-            let k = class
-                .store_of
-                .iter()
-                .position(|&s| s == si)
-                .expect("owner uses its store");
+        for l in arrival_stores() {
+            let entry = stores[l.store].as_mut().expect("listed store is live");
+            let class = classes[l.owner].as_mut().expect("owner is live");
             let mut local = tuple.clone();
-            local.stream = StreamId(k);
+            local.stream = l.local;
             let (score, state) = {
                 let QueryClass {
                     query,
@@ -942,16 +978,16 @@ impl MultiQueryEngine {
     /// so tuple-based window expiry here counts every operator-reaching
     /// arrival.
     pub fn note_foreign_arrivals(&mut self, g: StreamId, n: u64) {
-        for entry in self.stores.iter_mut().flatten() {
-            if entry.gstream == g {
-                entry.store.note_arrivals(n);
-            }
+        for l in self.live_stores.iter().filter(|l| l.gstream == g) {
+            let entry = self.stores[l.store].as_mut().expect("listed store is live");
+            entry.store.note_arrivals(n);
         }
     }
 
-    /// Rebuilds the per-stream probe tries from the live classes (called
-    /// after every registration change; class-id insertion order keeps the
-    /// merge deterministic).
+    /// Rebuilds the per-stream probe tries and the compact per-arrival
+    /// lists (`observers`, `live_stores`) from the live classes and stores
+    /// (called after every registration change; ascending-id insertion
+    /// keeps the merge and every per-arrival loop order deterministic).
     fn rebuild_tries(&mut self) {
         let mut tries: Vec<Vec<TrieNode>> = (0..self.catalog.len()).map(|_| Vec::new()).collect();
         for cid in 0..self.classes.len() {
@@ -979,6 +1015,8 @@ impl MultiQueryEngine {
                                 residual: step.residual.clone(),
                                 terminals: Vec::new(),
                                 children: Vec::new(),
+                                origin_only: step.drive.0 == PathRef::Origin
+                                    && step.residual.iter().all(|r| r.0 == PathRef::Origin),
                             });
                             cur.len() - 1
                         }
@@ -992,6 +1030,42 @@ impl MultiQueryEngine {
             }
         }
         self.tries = tries;
+        let mut observers: Vec<Vec<(usize, StreamId)>> =
+            (0..self.catalog.len()).map(|_| Vec::new()).collect();
+        for (cid, class) in self.classes.iter().enumerate() {
+            let Some(class) = class.as_ref() else {
+                continue;
+            };
+            for (k, &g) in class.gstream_of.iter().enumerate() {
+                // A class observes each global stream once, under its first
+                // local stream on it.
+                if class.local_of(g) == Some(StreamId(k)) {
+                    observers[g.index()].push((cid, StreamId(k)));
+                }
+            }
+        }
+        self.observers = observers;
+        self.live_stores = self
+            .stores
+            .iter()
+            .enumerate()
+            .filter_map(|(si, entry)| {
+                let entry = entry.as_ref()?;
+                let owner = entry.users[0];
+                let class = self.classes[owner].as_ref().expect("owner is live");
+                let k = class
+                    .store_of
+                    .iter()
+                    .position(|&s| s == si)
+                    .expect("owner uses its store");
+                Some(LiveStore {
+                    store: si,
+                    gstream: entry.gstream,
+                    owner,
+                    local: StreamId(k),
+                })
+            })
+            .collect();
     }
 }
 
@@ -1081,34 +1155,186 @@ fn make_class(
     })
 }
 
-/// The trie walk state: one depth-first enumeration over a global stream's
-/// merged probe trie, shared by every interested class.
+/// The shared data plane one arrival's trie walk reads and credits.
 struct ProbeCtx<'a, S: EmitSink> {
     entries: &'a [Option<StoreEntry>],
     classes: &'a [Option<QueryClass>],
     queries: &'a mut [Option<QueryState>],
     scratches: &'a mut [ProducedScratch],
-    emit_scratch: &'a mut [Vec<Option<Slot>>],
     sink: &'a mut S,
     /// The arriving tuple (global stream tag; only values/ts/seq are read).
     tuple: &'a Tuple,
-    /// `(slot, store index)` bound at each trie depth.
+}
+
+impl<S: EmitSink> ProbeCtx<'_, S> {
+    /// The owner class of store `si`.
+    fn owner(&self, si: usize) -> usize {
+        self.entries[si].as_ref().expect("path store is live").users[0]
+    }
+}
+
+/// A probe-trie enumeration kernel: walks one global stream's trie roots
+/// for the arriving tuple, emits every match to the member queries and
+/// returns the number of emissions. Production runs [`FrameKernel`]; the
+/// recursive walker it replaced implements this trait only in tests, as
+/// the order-exact differential reference.
+trait TrieKernel {
+    fn walk<'a, S: EmitSink>(
+        ctx: &mut ProbeCtx<'a, S>,
+        roots: &'a [TrieNode],
+        scratch: &mut WalkScratch,
+    ) -> u64;
+}
+
+/// A candidate list: the inline head and spill tail of an index bucket.
+type Cands<'a> = (&'a [Slot], &'a [Slot]);
+
+/// One open node visit of [`FrameKernel`]: the node's candidate list, the
+/// resume cursor, the child to enter next under the bound candidate, and
+/// where this visit's hoisted residual values, resolved terminals and
+/// hoisted child candidates start in the walk buffers.
+struct Frame<'a> {
+    node: &'a TrieNode,
+    head: &'a [Slot],
+    tail: &'a [Slot],
+    cursor: usize,
+    /// Next child to enter under the bound candidate; `None` between
+    /// candidates.
+    child: Option<usize>,
+    res_base: usize,
+    term_base: usize,
+    hoist_base: usize,
+    /// Candidates that passed the residual checks: each is one row of
+    /// every terminal here.
+    rows: u64,
+}
+
+/// A terminal class resolved once per node visit: what its rows need of
+/// the class, borrowed for the walk.
+struct Term<'a> {
+    members: &'a [QueryId],
+    /// Class-local stream → store table index.
+    store_of: &'a [usize],
+    /// Whether the class's policy takes produced credits.
+    credits: bool,
+    /// Class id, for owner checks on produced credits.
+    cid: usize,
+    /// Class-local origin stream.
+    origin: StreamId,
+    /// Class-local stream bound at this node's depth.
+    local: usize,
+    /// This terminal's binding slots (one per class-local stream) start
+    /// here in [`WalkScratch::binds`].
+    bind_base: usize,
+}
+
+/// Trie-walk buffers owned by the engine and reused by every arrival, so
+/// the steady-state walk allocates nothing. The borrowing buffers are empty
+/// between walks and re-typed to each walk's borrow (see [`recycle`]).
+#[derive(Default)]
+struct WalkScratch {
+    /// `(slot, store)` bound at each depth above the open node.
     path: Vec<(Slot, usize)>,
+    /// Hoisted residual `(left-hand value, candidate attr)` pairs.
+    res: Vec<(Value, usize)>,
+    /// Per resolved terminal: its class-local slot bindings.
+    binds: Vec<Option<Slot>>,
+    frames: Vec<Frame<'static>>,
+    terms: Vec<Term<'static>>,
+    /// Per child of an open node: its candidates when the node hoisted
+    /// them (`origin_only` children), else `None`.
+    hoisted: Vec<Option<Cands<'static>>>,
+}
+
+/// Empties `v` and re-types it, keeping its allocation: collecting a
+/// drained `vec::IntoIter` into a `Vec` of an equally laid-out type reuses
+/// the buffer in place. The walk buffers hold borrows of one arrival's
+/// stores and trie, so each walk re-types them to its own lifetime.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the buffer was cleared"))
+        .collect()
+}
+
+/// Whether candidate tuple `values` passes every hoisted residual check.
+#[inline]
+fn residuals_hold(values: &[Value], res: &[(Value, usize)]) -> bool {
+    res.iter().all(|&(v, ca)| values[ca] == v)
+}
+
+/// The production trie kernel, the multi-query twin of the solo
+/// `probe_n`: an explicit frame stack over the merged trie. Entering a node
+/// probes its candidates and returns at once if there are none; otherwise
+/// it hoists the residual values, resolves every terminal's class, plan map
+/// and members and binds its upper-depth slots, and probes each
+/// origin-driven child once for the whole visit. The candidate loop then
+/// writes one slot per terminal and calls the sink per member; a leaf
+/// drains all its candidates in one loop. Emission order is the recursive
+/// walk's: candidate outer, terminals in trie order, members in
+/// registration order, then the children.
+struct FrameKernel;
+
+impl TrieKernel for FrameKernel {
+    fn walk<'a, S: EmitSink>(
+        ctx: &mut ProbeCtx<'a, S>,
+        roots: &'a [TrieNode],
+        scratch: &mut WalkScratch,
+    ) -> u64 {
+        let mut w = FrameWalk {
+            path: std::mem::take(&mut scratch.path),
+            res: std::mem::take(&mut scratch.res),
+            binds: std::mem::take(&mut scratch.binds),
+            frames: recycle(std::mem::take(&mut scratch.frames)),
+            terms: recycle(std::mem::take(&mut scratch.terms)),
+            hoisted: recycle(std::mem::take(&mut scratch.hoisted)),
+            produced: 0,
+            ctx,
+        };
+        for root in roots {
+            w.enter(root, None);
+            while let Some(top) = w.frames.len().checked_sub(1) {
+                w.step(top);
+            }
+        }
+        // Every visit has closed, so every span is truncated back to empty.
+        let produced = w.produced;
+        scratch.path = w.path;
+        scratch.res = w.res;
+        scratch.binds = w.binds;
+        scratch.frames = recycle(w.frames);
+        scratch.terms = recycle(w.terms);
+        scratch.hoisted = recycle(w.hoisted);
+        produced
+    }
+}
+
+/// One [`FrameKernel`] walk: the plane plus the walk buffers re-typed to
+/// this arrival's borrows.
+struct FrameWalk<'a, 'c, S: EmitSink> {
+    ctx: &'c mut ProbeCtx<'a, S>,
+    path: Vec<(Slot, usize)>,
+    res: Vec<(Value, usize)>,
+    binds: Vec<Option<Slot>>,
+    frames: Vec<Frame<'a>>,
+    terms: Vec<Term<'a>>,
+    hoisted: Vec<Option<Cands<'a>>>,
     produced: u64,
 }
 
-impl<'a, S: EmitSink> ProbeCtx<'a, S> {
-    /// Resolves a path-position attribute reference against the current
-    /// path.
+impl<'a, S: EmitSink> FrameWalk<'a, '_, S> {
+    fn store(&self, si: usize) -> &'a WindowStore {
+        let entries: &'a [Option<StoreEntry>] = self.ctx.entries;
+        &entries[si].as_ref().expect("trie store is live").store
+    }
+
+    /// Resolves a path-position attribute reference against the path.
     fn value_at(&self, r: PathRef, attr: usize) -> Value {
         match r {
-            PathRef::Origin => self.tuple.values[attr],
+            PathRef::Origin => self.ctx.tuple.values[attr],
             PathRef::Depth(j) => {
                 let (slot, si) = self.path[j];
-                self.entries[si]
-                    .as_ref()
-                    .expect("path store is live")
-                    .store
+                self.store(si)
                     .tuple(slot)
                     .expect("bound slot is live")
                     .values[attr]
@@ -1116,67 +1342,205 @@ impl<'a, S: EmitSink> ProbeCtx<'a, S> {
         }
     }
 
-    /// Depth-first enumeration: candidates of this node's store, residual
-    /// filtering, terminal emissions, then children — which is exactly the
-    /// recursive kernel's order for each individual class, so per-query
-    /// emission order matches that query's solo run.
-    fn walk(&mut self, node: &TrieNode) {
-        let entries = self.entries;
+    fn candidates(&self, node: &TrieNode) -> Cands<'a> {
         let drive = self.value_at(node.drive.0, node.drive.1);
-        let res: Vec<(Value, usize)> = node
-            .residual
-            .iter()
-            .map(|&(r, ba, ca)| (self.value_at(r, ba), ca))
-            .collect();
-        let store = &entries[node.store].as_ref().expect("trie store is live").store;
-        for slot in store.probe(node.probe_attr, drive).iter() {
-            if !res.is_empty() {
-                let t = store.tuple(slot).expect("probed slot is live");
-                if !res.iter().all(|&(v, ca)| t.values[ca] == v) {
-                    continue;
-                }
-            }
-            self.path.push((slot, node.store));
-            for &(cid, origin_local) in &node.terminals {
-                self.emit(cid, origin_local);
-            }
-            for child in &node.children {
-                self.walk(child);
-            }
-            self.path.pop();
-        }
+        self.store(node.store).probe(node.probe_attr, drive).parts()
     }
 
-    /// Emits one completed match of class `cid` to every member query, and
-    /// accrues produced credits on the stores the class owns.
-    fn emit(&mut self, cid: usize, origin_local: StreamId) {
-        let class = self.classes[cid].as_ref().expect("terminal class is live");
-        let plan = &class.plans[origin_local.index()];
-        let scratch = &mut self.emit_scratch[cid];
-        scratch.clear();
-        scratch.resize(class.query.n_streams(), None);
-        for (j, step) in plan.steps().iter().enumerate() {
-            scratch[step.stream.index()] = Some(self.path[j].0);
+    /// Opens a visit of `node` at depth `path.len()`, using the candidates
+    /// its parent hoisted if any. A visit that cannot emit anything — no
+    /// candidates, or no terminals and only empty hoisted children — opens
+    /// no frame.
+    fn enter(&mut self, node: &'a TrieNode, hoisted: Option<Cands<'a>>) {
+        let (head, tail) = hoisted.unwrap_or_else(|| self.candidates(node));
+        if head.is_empty() && tail.is_empty() {
+            return;
         }
-        if class.reqs.produced_counters {
-            for &(slot, si) in self.path.iter() {
-                let owner = self.entries[si].as_ref().expect("path store is live").users[0];
-                if owner == cid {
-                    self.scratches[si].add(slot, 1);
+        let hoist_base = self.hoisted.len();
+        let mut reachable = !node.terminals.is_empty();
+        for child in &node.children {
+            let cands = child.origin_only.then(|| self.candidates(child));
+            reachable |= cands.map_or(true, |(h, t)| !h.is_empty() || !t.is_empty());
+            self.hoisted.push(cands);
+        }
+        if !reachable {
+            self.hoisted.truncate(hoist_base);
+            return;
+        }
+        let res_base = self.res.len();
+        for &(r, ba, ca) in &node.residual {
+            let v = self.value_at(r, ba);
+            self.res.push((v, ca));
+        }
+        let term_base = self.terms.len();
+        let depth = self.path.len();
+        let classes: &'a [Option<QueryClass>] = self.ctx.classes;
+        for &(cid, origin) in &node.terminals {
+            let class = classes[cid].as_ref().expect("terminal class is live");
+            let steps = class.plans[origin.index()].steps();
+            let bind_base = self.binds.len();
+            self.binds.resize(bind_base + class.query.n_streams(), None);
+            let binds = &mut self.binds[bind_base..];
+            for (step, &(slot, _)) in steps.iter().zip(&self.path) {
+                binds[step.stream.index()] = Some(slot);
+            }
+            self.terms.push(Term {
+                members: &class.members,
+                store_of: &class.store_of,
+                credits: class.reqs.produced_counters,
+                cid,
+                origin,
+                local: steps[depth].stream.index(),
+                bind_base,
+            });
+        }
+        self.frames.push(Frame {
+            node,
+            head,
+            tail,
+            cursor: 0,
+            child: None,
+            res_base,
+            term_base,
+            hoist_base,
+            rows: 0,
+        });
+    }
+
+    /// Advances the open visit at depth `top`: a leaf drains and closes;
+    /// an inner node enters its next child under the bound candidate, or
+    /// binds and emits its next candidate, or closes.
+    fn step(&mut self, top: usize) {
+        let f = &self.frames[top];
+        let node = f.node;
+        if node.children.is_empty() {
+            self.drain(top);
+            return self.close(top);
+        }
+        if let Some(i) = f.child {
+            if let Some(child) = node.children.get(i) {
+                let hoisted = self.hoisted[f.hoist_base + i];
+                self.frames[top].child = Some(i + 1);
+                return self.enter(child, hoisted);
+            }
+        }
+        let store = self.store(node.store);
+        let f = &mut self.frames[top];
+        let rvals = &self.res[f.res_base..];
+        let mut next = None;
+        while f.cursor < f.head.len() + f.tail.len() {
+            let c = f.cursor;
+            f.cursor += 1;
+            let slot = match f.head.get(c) {
+                Some(&slot) => slot,
+                None => f.tail[c - f.head.len()],
+            };
+            if rvals.is_empty()
+                || residuals_hold(
+                    &store.tuple(slot).expect("probed slot is live").values,
+                    rvals,
+                )
+            {
+                next = Some(slot);
+                break;
+            }
+        }
+        let Some(slot) = next else {
+            return self.close(top);
+        };
+        f.rows += 1;
+        f.child = Some(0);
+        let terms = &self.terms[f.term_base..];
+        emit_row(
+            self.ctx,
+            terms,
+            &mut self.binds,
+            &self.path[..top],
+            node.store,
+            slot,
+        );
+        self.path.truncate(top);
+        self.path.push((slot, node.store));
+    }
+
+    /// Emits every candidate of the leaf visit at depth `top`.
+    fn drain(&mut self, top: usize) {
+        let f = &self.frames[top];
+        let store = self.store(f.node.store);
+        let rvals = &self.res[f.res_base..];
+        let terms = &self.terms[f.term_base..];
+        let upper = &self.path[..top];
+        let mut rows = 0;
+        for part in [f.head, f.tail] {
+            for &slot in part {
+                if !rvals.is_empty()
+                    && !residuals_hold(
+                        &store.tuple(slot).expect("probed slot is live").values,
+                        rvals,
+                    )
+                {
+                    continue;
+                }
+                rows += 1;
+                emit_row(self.ctx, terms, &mut self.binds, upper, f.node.store, slot);
+            }
+        }
+        self.frames[top].rows = rows;
+    }
+
+    /// Closes the visit at depth `top`: credits its rows to every member
+    /// of every terminal in one step and releases its buffer spans.
+    fn close(&mut self, top: usize) {
+        let f = self.frames.pop().expect("frame at current depth");
+        if f.rows > 0 {
+            for t in &self.terms[f.term_base..] {
+                for &qid in t.members {
+                    if let Some(q) = self.ctx.queries[qid.index()].as_mut() {
+                        q.produced += f.rows;
+                    }
+                }
+                self.produced += f.rows * t.members.len() as u64;
+            }
+        }
+        if let Some(t) = self.terms.get(f.term_base) {
+            self.binds.truncate(t.bind_base);
+        }
+        self.path.truncate(top);
+        self.res.truncate(f.res_base);
+        self.terms.truncate(f.term_base);
+        self.hoisted.truncate(f.hoist_base);
+    }
+}
+
+/// Emits one row of every terminal resolved at a node visit: binds `slot`
+/// (of store `store`, at the visit's depth) in each terminal's slots,
+/// accrues the owner's produced credits in path order (upper depths, then
+/// this one), and hands the bindings to every member query.
+fn emit_row<S: EmitSink>(
+    ctx: &mut ProbeCtx<'_, S>,
+    terms: &[Term<'_>],
+    binds: &mut [Option<Slot>],
+    upper: &[(Slot, usize)],
+    store: usize,
+    slot: Slot,
+) {
+    for t in terms {
+        let binds = &mut binds[t.bind_base..t.bind_base + t.store_of.len()];
+        binds[t.local] = Some(slot);
+        if t.credits {
+            for &(s, si) in upper.iter().chain([(slot, store)].iter()) {
+                if ctx.owner(si) == t.cid {
+                    ctx.scratches[si].add(s, 1);
                 }
             }
         }
         let lookup = MappedStores {
-            entries: self.entries,
-            map: &class.store_of,
+            entries: ctx.entries,
+            map: t.store_of,
         };
-        let bindings = Bindings::from_parts(origin_local, self.tuple, scratch, &lookup);
-        for &qid in &class.members {
-            if let Some(q) = self.queries[qid.index()].as_mut() {
-                q.produced += 1;
-            }
-            self.sink.emit(qid, &bindings);
-            self.produced += 1;
+        let bindings = Bindings::from_parts(t.origin, ctx.tuple, binds, &lookup);
+        for &qid in t.members {
+            ctx.sink.emit(qid, &bindings);
         }
     }
 }
@@ -1425,6 +1789,32 @@ mod tests {
     }
 
     #[test]
+    fn owner_handoff_retags_residents_for_the_heir() {
+        // The chain owns store X under local stream 2; its heir, the pair,
+        // reads X as local stream 1 and must rescore the residents under
+        // that tag at its next rollover.
+        let mut b = EngineBuilder::new_multi()
+            .policy(mstream_shed_policies::MSketch)
+            .capacity_per_window(8);
+        b.register(chain_query("L", "R", "X", 30)).unwrap();
+        b.register(pair_query("R", "X", 30)).unwrap();
+        let mut e = b.build_multi().unwrap();
+        let t = trace(&["L", "R", "X"], 300);
+        let mut sink = QueryRowsSink::default();
+        feed(&mut e, &t[..150], &mut sink);
+        assert!(e.remove_query(QueryId(0)));
+        let x = e.stream_id("X").unwrap();
+        let heir = e.live_stores.iter().find(|l| l.gstream == x).unwrap();
+        assert_eq!((heir.owner, heir.local), (1, StreamId(1)));
+        let store = &e.stores[heir.store].as_ref().unwrap().store;
+        assert!(!store.is_empty());
+        assert!(store.iter().all(|(_, t)| t.stream == StreamId(1)));
+        let rollovers = e.metrics().epoch_rollovers;
+        feed(&mut e, &t[150..], &mut sink);
+        assert!(e.metrics().epoch_rollovers > rollovers, "the heir rescored");
+    }
+
+    #[test]
     fn shed_output_is_a_sub_multiset_of_exact() {
         let mut tight = multi(vec![pair_query("L", "R", 60)], 2);
         let mut exact = multi(vec![pair_query("L", "R", 60)], 1 << 20);
@@ -1461,5 +1851,349 @@ mod tests {
         let mut sink = CountSink::default();
         let g = e.stream_id("L").unwrap();
         e.ingest(Arrival::new(g, vec![Value(1), Value(2)], VTime::ZERO), &mut sink);
+    }
+
+    /// The recursive trie walker that [`FrameKernel`] replaced, kept as
+    /// the order-exact differential reference for it.
+    mod reference {
+        use super::super::*;
+
+        pub(super) struct RecursiveKernel;
+
+        impl TrieKernel for RecursiveKernel {
+            fn walk<'a, S: EmitSink>(
+                ctx: &mut ProbeCtx<'a, S>,
+                roots: &'a [TrieNode],
+                _: &mut WalkScratch,
+            ) -> u64 {
+                let mut w = Walk {
+                    ctx,
+                    path: Vec::new(),
+                    produced: 0,
+                };
+                for node in roots {
+                    w.walk(node);
+                }
+                w.produced
+            }
+        }
+
+        struct Walk<'c, 'a, S: EmitSink> {
+            ctx: &'c mut ProbeCtx<'a, S>,
+            /// `(slot, store index)` bound at each trie depth.
+            path: Vec<(Slot, usize)>,
+            produced: u64,
+        }
+
+        impl<S: EmitSink> Walk<'_, '_, S> {
+            fn value_at(&self, r: PathRef, attr: usize) -> Value {
+                match r {
+                    PathRef::Origin => self.ctx.tuple.values[attr],
+                    PathRef::Depth(j) => {
+                        let (slot, si) = self.path[j];
+                        self.ctx.entries[si]
+                            .as_ref()
+                            .expect("path store is live")
+                            .store
+                            .tuple(slot)
+                            .expect("bound slot is live")
+                            .values[attr]
+                    }
+                }
+            }
+
+            /// Depth-first enumeration: candidates of this node's store,
+            /// residual filtering, terminal emissions, then children.
+            fn walk(&mut self, node: &TrieNode) {
+                let entries = self.ctx.entries;
+                let drive = self.value_at(node.drive.0, node.drive.1);
+                let res: Vec<(Value, usize)> = node
+                    .residual
+                    .iter()
+                    .map(|&(r, ba, ca)| (self.value_at(r, ba), ca))
+                    .collect();
+                let store = &entries[node.store]
+                    .as_ref()
+                    .expect("trie store is live")
+                    .store;
+                for slot in store.probe(node.probe_attr, drive).iter() {
+                    if !res.is_empty() {
+                        let t = store.tuple(slot).expect("probed slot is live");
+                        if !res.iter().all(|&(v, ca)| t.values[ca] == v) {
+                            continue;
+                        }
+                    }
+                    self.path.push((slot, node.store));
+                    for &(cid, origin_local) in &node.terminals {
+                        self.emit(cid, origin_local);
+                    }
+                    for child in &node.children {
+                        self.walk(child);
+                    }
+                    self.path.pop();
+                }
+            }
+
+            /// Emits one completed match of class `cid` to every member
+            /// query, and accrues produced credits on the stores the class
+            /// owns.
+            fn emit(&mut self, cid: usize, origin_local: StreamId) {
+                let class = self.ctx.classes[cid]
+                    .as_ref()
+                    .expect("terminal class is live");
+                let plan = &class.plans[origin_local.index()];
+                let mut slots = vec![None; class.query.n_streams()];
+                for (j, step) in plan.steps().iter().enumerate() {
+                    slots[step.stream.index()] = Some(self.path[j].0);
+                }
+                if class.reqs.produced_counters {
+                    for &(slot, si) in self.path.iter() {
+                        if self.ctx.owner(si) == cid {
+                            self.ctx.scratches[si].add(slot, 1);
+                        }
+                    }
+                }
+                let lookup = MappedStores {
+                    entries: self.ctx.entries,
+                    map: &class.store_of,
+                };
+                let bindings = Bindings::from_parts(origin_local, self.ctx.tuple, &slots, &lookup);
+                for &qid in &class.members {
+                    if let Some(q) = self.ctx.queries[qid.index()].as_mut() {
+                        q.produced += 1;
+                    }
+                    self.ctx.sink.emit(qid, &bindings);
+                    self.produced += 1;
+                }
+            }
+        }
+    }
+
+    /// Records every emission as `(query, bound slot per local stream)`.
+    #[derive(Default)]
+    struct SlotSink(Vec<(QueryId, Vec<Option<Slot>>)>);
+
+    impl EmitSink for SlotSink {
+        fn emit(&mut self, query: QueryId, b: &Bindings<'_>) {
+            let slots = (0..b.n_streams()).map(|k| b.slot(StreamId(k))).collect();
+            self.0.push((query, slots));
+        }
+    }
+
+    /// One standing query over named streams `s` (2 or 3 names): a pair,
+    /// a chain, a star or a residual-bearing triangle.
+    fn shape_query(shape: usize, s: &[&str], window: WindowSpec) -> JoinQuery {
+        let mut c = Catalog::new();
+        for &name in s {
+            c.add_stream(StreamSchema::new(name, &["k", "v"]));
+        }
+        let a = |i: usize, attr: &str| format!("{}.{attr}", s[i]);
+        let preds: Vec<(String, String)> = match shape {
+            0 => vec![(a(0, "k"), a(1, "k"))],
+            1 => vec![(a(0, "k"), a(1, "k")), (a(1, "v"), a(2, "k"))],
+            2 => vec![(a(0, "k"), a(1, "k")), (a(1, "k"), a(2, "k"))],
+            _ => vec![
+                (a(0, "v"), a(1, "k")),
+                (a(1, "v"), a(2, "k")),
+                (a(2, "v"), a(0, "k")),
+            ],
+        };
+        let preds: Vec<(&str, &str)> = preds
+            .iter()
+            .map(|(l, r)| (l.as_str(), r.as_str()))
+            .collect();
+        JoinQuery::from_names(c, &preds, window).unwrap()
+    }
+
+    const NAMES: [&str; 4] = ["A", "B", "C", "D"];
+
+    /// A random standing query: 1 in 3 repeats the previous draw exactly
+    /// (duplicates fan out), and the small stream/shape/window space makes
+    /// shared prefixes, middle-origin (origin-driven) children and
+    /// triangles common.
+    fn random_query(rng: &mut StdRng, last: &mut Option<JoinQuery>) -> JoinQuery {
+        use rand::Rng;
+        if let Some(q) = last.as_ref().filter(|_| rng.gen_range(0..3) == 0) {
+            return q.clone();
+        }
+        let shape = rng.gen_range(0..4);
+        let width = if shape == 0 { 2 } else { 3 };
+        let mut names = NAMES.to_vec();
+        let mut s = Vec::new();
+        for _ in 0..width {
+            s.push(names.remove(rng.gen_range(0..names.len())));
+        }
+        let window = match rng.gen_range(0..3) {
+            0 => WindowSpec::secs(20),
+            1 => WindowSpec::secs(40),
+            _ => WindowSpec::Tuples(25),
+        };
+        let q = shape_query(shape, &s, window);
+        *last = Some(q.clone());
+        q
+    }
+
+    /// Everything a kernel run makes observable: every emission, every
+    /// ingest outcome, the final per-query stats and the shed counters.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        emitted: Vec<(QueryId, Vec<Option<Slot>>)>,
+        outcomes: Vec<IngestOutcome>,
+        stats: Vec<Option<QueryStats>>,
+        shed_window: u64,
+        expired: u64,
+        total_output: u64,
+    }
+
+    /// Drives one random churn scenario (derived from `seed`) through the
+    /// multi-query engine with trie kernel `K`.
+    fn run_scenario<K: TrieKernel>(seed: u64) -> Observed {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rs = rng.gen_range(0..2) == 0;
+        let capacity = [6, 16, 1 << 12][rng.gen_range(0..3)];
+        let batched = rng.gen_range(0..2) == 0;
+        let mut last = None;
+        let mut b = EngineBuilder::new_multi()
+            .capacity_per_window(capacity)
+            .seed(seed);
+        b = if rs {
+            b.policy(mstream_shed_policies::MSketchRs)
+        } else {
+            b.policy(mstream_shed_policies::MSketch)
+        };
+        for _ in 0..rng.gen_range(1..=6) {
+            b.register(random_query(&mut rng, &mut last)).unwrap();
+        }
+        let mut e = b.build_multi().unwrap();
+        let mut sink = SlotSink::default();
+        let mut outcomes = Vec::new();
+        let mut batch = Vec::new();
+        for i in 0..300u64 {
+            if rng.gen_range(0..60) == 0 {
+                flush::<K>(&mut e, &mut batch, &mut sink, &mut outcomes);
+                let live: Vec<QueryId> = (0..e.n_registered() as u32)
+                    .map(QueryId)
+                    .filter(|&q| e.query(q).is_some())
+                    .collect();
+                if live.len() > 1 && rng.gen_range(0..2) == 0 {
+                    assert!(e.remove_query(live[rng.gen_range(0..live.len())]));
+                } else {
+                    e.add_query(random_query(&mut rng, &mut last)).unwrap();
+                }
+            }
+            let name = NAMES[rng.gen_range(0..NAMES.len())];
+            let row = vec![Value(rng.gen_range(0..3)), Value(rng.gen_range(0..3))];
+            let Some(g) = e.stream_id(name) else {
+                continue;
+            };
+            let arrival = Arrival::new(g, row, VTime::from_micros(i * 250_000));
+            if batched {
+                let now = arrival.ts;
+                batch.push((e.mint(arrival), now));
+                if rng.gen_range(0..6) == 0 {
+                    flush::<K>(&mut e, &mut batch, &mut sink, &mut outcomes);
+                }
+            } else {
+                let now = arrival.ts;
+                let tuple = e.mint(arrival);
+                outcomes.push(e.ingest_tuple_inner::<K>(tuple, now, &mut sink, false));
+            }
+        }
+        flush::<K>(&mut e, &mut batch, &mut sink, &mut outcomes);
+        let stats = (0..e.n_registered() as u32)
+            .map(|q| e.query_stats(QueryId(q)))
+            .collect();
+        let m = e.metrics().clone();
+        Observed {
+            emitted: sink.0,
+            outcomes,
+            stats,
+            shed_window: m.shed_window,
+            expired: m.expired,
+            total_output: m.total_output,
+        }
+    }
+
+    /// Ingests the pending batch of [`run_scenario`], if any, through
+    /// kernel `K`.
+    fn flush<K: TrieKernel>(
+        e: &mut MultiQueryEngine,
+        batch: &mut Vec<(Tuple, VTime)>,
+        sink: &mut SlotSink,
+        outcomes: &mut Vec<IngestOutcome>,
+    ) {
+        if !batch.is_empty() {
+            outcomes.push(e.ingest_batch_with::<K>(batch, sink));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The frame-stack kernel replays the recursive walker exactly:
+        /// the same emissions (query and bound slot per local stream) in
+        /// the same order, the same per-arrival outcomes and shed
+        /// decisions, and the same per-query stats — under MSketch and the
+        /// produced-credit-driven MSketch-RS, per arrival and batched,
+        /// across mid-trace registration changes.
+        #[test]
+        fn frame_kernel_matches_the_recursive_reference(seed in proptest::any::<u64>()) {
+            let got = run_scenario::<FrameKernel>(seed);
+            let want = run_scenario::<reference::RecursiveKernel>(seed);
+            proptest::prop_assert!(!want.outcomes.is_empty());
+            proptest::prop_assert_eq!(got, want, "seed {}", seed);
+        }
+    }
+
+    #[test]
+    fn per_arrival_lists_track_only_the_live_plane() {
+        let mut e = multi(
+            vec![pair_query("L", "R", 60), chain_query("L", "R", "X", 60)],
+            64,
+        );
+        let shapes = [
+            pair_query("L", "R", 60),
+            chain_query("L", "R", "X", 60),
+            pair_query("A", "B", 30),
+        ];
+        let mut sink = CountSink::default();
+        let g = e.stream_id("L").unwrap();
+        for i in 0..500u64 {
+            let id = e
+                .add_query(shapes[i as usize % shapes.len()].clone())
+                .unwrap();
+            e.ingest(
+                Arrival::new(g, vec![Value(i % 3), Value(1)], VTime::from_secs(i)),
+                &mut sink,
+            );
+            assert!(e.remove_query(id));
+        }
+        // Brute force over every slot ever allocated.
+        let mut observers: Vec<Vec<(usize, StreamId)>> = vec![Vec::new(); e.catalog.len()];
+        for (cid, class) in e.classes.iter().enumerate() {
+            for (k, &g) in class.iter().flat_map(|c| c.gstream_of.iter().enumerate()) {
+                observers[g.index()].push((cid, StreamId(k)));
+            }
+        }
+        assert_eq!(e.observers, observers);
+        let live: Vec<usize> = (0..e.stores.len())
+            .filter(|&si| e.stores[si].is_some())
+            .collect();
+        assert_eq!(
+            e.live_stores.iter().map(|l| l.store).collect::<Vec<_>>(),
+            live
+        );
+        assert_eq!(e.live_stores.len(), 3, "L, R and X survive the churn");
+        for l in &e.live_stores {
+            let entry = e.stores[l.store].as_ref().unwrap();
+            assert_eq!((l.gstream, l.owner), (entry.gstream, entry.users[0]));
+            let owner = e.classes[l.owner].as_ref().unwrap();
+            assert_eq!(owner.store_of[l.local.index()], l.store);
+        }
+        assert!(
+            e.classes.len() > 500,
+            "every churn step allocated a class slot"
+        );
     }
 }

@@ -13,7 +13,8 @@
 //! * [`probe_each`] / [`probe_count`] — enumeration of all combinations of
 //!   window tuples that join with the arriving tuple, with a zero-copy
 //!   [`Bindings`] view for consumers (output counting, per-tuple produced
-//!   counters, windowed aggregates).
+//!   counters, windowed aggregates). Engines call [`probe_each_with`] with
+//!   a reused [`ProbeScratch`] so the per-arrival probe never allocates.
 //! * [`ExactJoin`] — the unbounded-memory reference executor: ground truth
 //!   for "ratio of approximate and exact result" (Figure 4) and for the
 //!   aggregate/quantile error metrics (Figure 7).
@@ -45,4 +46,4 @@ pub use exact::ExactJoin;
 pub use plan::{PlanStep, ProbePlan};
 #[doc(hidden)]
 pub use probe::probe_each_recursive;
-pub use probe::{probe_count, probe_each, Bindings, StoreLookup};
+pub use probe::{probe_count, probe_each, probe_each_with, Bindings, ProbeScratch, StoreLookup};

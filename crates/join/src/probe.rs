@@ -11,6 +11,10 @@
 //! steps run the general kernel. All variants enumerate matches in exactly
 //! the order of the original recursive kernel ([`probe_each_recursive`],
 //! kept for differential tests), so results are bit-identical.
+//!
+//! Engines probe through [`probe_each_with`] and a [`ProbeScratch`] they
+//! own: the slot bindings, hoisted residual values and frame stack are
+//! reused across arrivals, so steady-state probing allocates nothing.
 
 use crate::plan::{PlanStep, ProbePlan};
 use mstream_types::{StreamId, Tuple, Value};
@@ -123,13 +127,41 @@ impl<'a> Bindings<'a> {
     }
 }
 
+/// Reusable buffers of the probe kernels: the per-stream slot bindings,
+/// the hoisted residual values and the general kernel's frame stack. An
+/// engine keeps one and hands it to [`probe_each_with`] on every arrival,
+/// so the buffers reach their steady-state size once and are never
+/// reallocated.
+#[derive(Default)]
+pub struct ProbeScratch {
+    slots: Vec<Option<Slot>>,
+    res: Vec<(Value, usize)>,
+    /// Always empty between probes; re-typed to each probe's borrow (see
+    /// [`recycle`]) so its allocation outlives the frames it held.
+    frames: Vec<Frame<'static>>,
+}
+
 /// Enumerates every combination of window tuples joining with
 /// `origin_tuple`, invoking `on_match` per combination. Returns the count.
 ///
 /// `stores[k]` must be the window of stream `k`; the origin's own store is
 /// never probed (the paper's operator probes *before* inserting the
-/// arriving tuple into its window).
+/// arriving tuple into its window). Allocates its buffers per call; hot
+/// paths use [`probe_each_with`].
 pub fn probe_each<F: FnMut(&Bindings<'_>)>(
+    plan: &ProbePlan,
+    origin_tuple: &Tuple,
+    stores: &[WindowStore],
+    on_match: F,
+) -> u64 {
+    let mut scratch = ProbeScratch::default();
+    probe_each_with(&mut scratch, plan, origin_tuple, stores, on_match)
+}
+
+/// [`probe_each`] over caller-owned buffers: identical matches in
+/// identical order, without allocating once `scratch` has warmed up.
+pub fn probe_each_with<F: FnMut(&Bindings<'_>)>(
+    scratch: &mut ProbeScratch,
     plan: &ProbePlan,
     origin_tuple: &Tuple,
     stores: &[WindowStore],
@@ -138,22 +170,38 @@ pub fn probe_each<F: FnMut(&Bindings<'_>)>(
     debug_assert_eq!(plan.origin(), origin_tuple.stream);
     let steps = plan.steps();
     let origin = plan.origin();
-    let mut slots: Vec<Option<Slot>> = vec![None; stores.len()];
+    let ProbeScratch { slots, res, frames } = scratch;
+    slots.clear();
+    slots.resize(stores.len(), None);
     match steps {
         [] => {
             on_match(&Bindings {
                 origin,
                 origin_tuple,
-                slots: &slots,
+                slots,
                 stores: &stores,
             });
             1
         }
-        [step] => probe_1(step, origin, origin_tuple, stores, &mut slots, &mut on_match),
+        [step] => probe_1(step, origin, origin_tuple, stores, slots, &mut on_match),
         [s0, s1] if s0.residual.is_empty() && s1.residual.is_empty() => {
-            probe_2(s0, s1, origin, origin_tuple, stores, &mut slots, &mut on_match)
+            probe_2(s0, s1, origin, origin_tuple, stores, slots, &mut on_match)
         }
-        _ => probe_n(steps, origin, origin_tuple, stores, &mut slots, &mut on_match),
+        _ => {
+            let mut live = recycle(std::mem::take(frames));
+            let count = probe_n(
+                steps,
+                origin,
+                origin_tuple,
+                stores,
+                slots,
+                res,
+                &mut live,
+                &mut on_match,
+            );
+            *frames = recycle(live);
+            count
+        }
     }
 }
 
@@ -194,18 +242,14 @@ fn probe_1<F: FnMut(&Bindings<'_>)>(
             }
         }
     } else {
-        // Residual left-hand sides are all origin attributes here: hoist.
-        let res: Vec<(Value, usize)> = step
-            .residual
-            .iter()
-            .map(|&(bs, ba, ca)| {
-                debug_assert_eq!(bs, origin);
-                (origin_tuple.values[ba], ca)
-            })
-            .collect();
+        // Residual left-hand sides are all origin attributes here.
+        let vals = &origin_tuple.values;
         for slot in cands.iter() {
             let t = store.tuple(slot).expect("probed slot is live");
-            if res.iter().all(|&(v, ca)| t.values[ca] == v) {
+            if step.residual.iter().all(|&(bs, ba, ca)| {
+                debug_assert_eq!(bs, origin);
+                t.values[ca] == vals[ba]
+            }) {
                 slots[si] = Some(slot);
                 count += 1;
                 on_match(&Bindings {
@@ -285,6 +329,17 @@ fn probe_2<F: FnMut(&Bindings<'_>)>(
     count
 }
 
+/// Empties a frame buffer and re-types it to a new borrow, keeping its
+/// allocation: collecting a drained `vec::IntoIter` into a `Vec` of an
+/// equally laid-out type reuses the source buffer in place.
+fn recycle<'b>(mut frames: Vec<Frame<'_>>) -> Vec<Frame<'b>> {
+    frames.clear();
+    frames
+        .into_iter()
+        .map(|_| -> Frame<'b> { unreachable!("the buffer was cleared") })
+        .collect()
+}
+
 /// One suspended enumeration level of the general kernel: a step's
 /// candidate list (inline head + spill tail), the resume cursor, and where
 /// this step's hoisted residual values start in the shared scratch.
@@ -312,23 +367,27 @@ impl<'a> Frame<'a> {
 /// the plan's steps. Entering a frame computes the step's drive value and
 /// hoists its residual left-hand values once; the candidate loop then only
 /// dereferences tuples for steps that actually carry residual checks.
-fn probe_n<F: FnMut(&Bindings<'_>)>(
+///
+/// `res` holds the hoisted residual `(left-hand value, candidate attr)`
+/// pairs of all active frames (`res_base` marks each frame's span); both
+/// it and `frames` come in empty and leave empty.
+#[allow(clippy::too_many_arguments)]
+fn probe_n<'a, F: FnMut(&Bindings<'_>)>(
     steps: &[PlanStep],
     origin: StreamId,
     origin_tuple: &Tuple,
-    stores: &[WindowStore],
+    stores: &'a [WindowStore],
     slots: &mut [Option<Slot>],
+    res: &mut Vec<(Value, usize)>,
+    frames: &mut Vec<Frame<'a>>,
     on_match: &mut F,
 ) -> u64 {
     let mut count = 0u64;
-    let mut frames: Vec<Frame<'_>> = Vec::with_capacity(steps.len());
-    // Hoisted residual `(left-hand value, candidate attr)` pairs for all
-    // active frames; `res_base` marks each frame's span.
-    let mut res: Vec<(Value, usize)> = Vec::new();
+    res.clear();
     let enter = |step: &PlanStep,
                  slots: &[Option<Slot>],
                  res: &mut Vec<(Value, usize)>|
-     -> Frame<'_> {
+     -> Frame<'a> {
         let drive = bound_value(
             origin,
             origin_tuple,
@@ -354,7 +413,7 @@ fn probe_n<F: FnMut(&Bindings<'_>)>(
             res_base,
         }
     };
-    frames.push(enter(&steps[0], slots, &mut res));
+    frames.push(enter(&steps[0], slots, res));
     while let Some(depth) = frames.len().checked_sub(1) {
         let step = &steps[depth];
         let store = &stores[step.stream.index()];
@@ -409,7 +468,7 @@ fn probe_n<F: FnMut(&Bindings<'_>)>(
         match chosen {
             Some(slot) => {
                 slots[step.stream.index()] = Some(slot);
-                let f = enter(&steps[depth + 1], slots, &mut res);
+                let f = enter(&steps[depth + 1], slots, res);
                 frames.push(f);
             }
             None => {

@@ -161,6 +161,10 @@ pub struct FlatIndex {
     used: usize,
     /// Total slots across all keys.
     total: usize,
+    /// Occupied cells staged by a rehash. Kept, with the table buffers,
+    /// so the periodic tombstone purge of a key-churning index reuses its
+    /// memory instead of allocating.
+    rehash: Vec<(u64, Bucket)>,
 }
 
 impl FlatIndex {
@@ -422,14 +426,22 @@ impl FlatIndex {
     /// linear-probe chains stay a couple of cells long.
     fn grow(&mut self) {
         let new_cap = ((self.live + 1) * 4).next_power_of_two().max(8);
-        let old_buckets = std::mem::replace(&mut self.buckets, vec![Bucket::VACANT; new_cap]);
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; new_cap]);
-        let old_ctrl = std::mem::replace(&mut self.ctrl, vec![EMPTY; new_cap]);
-        let mask = new_cap - 1;
-        for ((b, k), c) in old_buckets.into_iter().zip(old_keys).zip(old_ctrl) {
-            if c != OCCUPIED {
-                continue;
+        self.rehash.clear();
+        for (i, &c) in self.ctrl.iter().enumerate() {
+            if c == OCCUPIED {
+                self.rehash.push((self.keys[i], self.buckets[i]));
             }
+        }
+        self.buckets.clear();
+        self.buckets.resize(new_cap, Bucket::VACANT);
+        self.keys.clear();
+        self.keys.resize(new_cap, 0);
+        self.ctrl.clear();
+        self.ctrl.resize(new_cap, EMPTY);
+        let mask = new_cap - 1;
+        // Reinsert in old table order: the same layout a fresh table
+        // would get, so key iteration order is unchanged.
+        for &(k, b) in &self.rehash {
             let mut i = (mix(k) as usize) & mask;
             while self.ctrl[i] != EMPTY {
                 i = (i + 1) & mask;

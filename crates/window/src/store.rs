@@ -3,7 +3,7 @@
 use crate::arena::{Arena, Slot};
 use crate::heap::IndexedHeap;
 use crate::index::{Candidates, FlatIndex};
-use mstream_types::{SeqNo, Tuple, VTime, Value, WindowSpec};
+use mstream_types::{SeqNo, StreamId, Tuple, VTime, Value, WindowSpec};
 use std::collections::VecDeque;
 
 /// One resident window tuple plus the bookkeeping that must travel with it.
@@ -151,14 +151,15 @@ impl WindowStore {
         self.arrivals_seen += n;
     }
 
-    /// Removes all expired tuples as of `now`, returning them oldest-first.
+    /// Removes all expired tuples as of `now` (oldest-first) and returns
+    /// how many were removed.
     ///
     /// Time-based windows expire tuples with `ts + p <= now`; tuple-based
     /// windows expire tuples once `count` newer arrivals have been seen on
     /// this stream (paper §4.1 semantics — arrivals, not residents, so
     /// shedding does not extend lifetimes).
-    pub fn expire(&mut self, now: VTime) -> Vec<Tuple> {
-        let mut expired = Vec::new();
+    pub fn expire(&mut self, now: VTime) -> usize {
+        let mut expired = 0;
         while let Some(&slot) = self.expiry.front() {
             // Lazily drop queue entries for tuples already evicted.
             let Some(entry) = self.arena.get(slot) else {
@@ -175,7 +176,8 @@ impl WindowStore {
                 break;
             }
             self.expiry.pop_front();
-            expired.push(self.remove_slot(slot).expect("slot checked live"));
+            self.remove_slot(slot).expect("slot checked live");
+            expired += 1;
         }
         expired
     }
@@ -397,6 +399,19 @@ impl WindowStore {
         self.arena.iter().map(|(slot, e)| (slot, &e.tuple))
     }
 
+    /// Re-labels every resident tuple as a tuple of `stream`: for a new
+    /// owner that addresses this store under another stream id than the
+    /// one its residents were stored under.
+    pub fn retag(&mut self, stream: StreamId) {
+        // Every live slot is on the expiry queue; stale entries of evicted
+        // tuples fail the generation check.
+        for &slot in &self.expiry {
+            if let Some(entry) = self.arena.get_mut(slot) {
+                entry.tuple.stream = stream;
+            }
+        }
+    }
+
     /// The oldest resident tuple's sequence number, if any.
     pub fn oldest_seq(&self) -> Option<SeqNo> {
         self.iter().map(|(_, t)| t.seq).min()
@@ -577,10 +592,9 @@ mod tests {
         w.insert(tup(0, 0, 1, 1), 1.0);
         w.insert(tup(1, 5, 2, 2), 1.0);
         // p = 10s: the t=0 tuple dies exactly at now=10.
-        assert!(w.expire(VTime::from_secs(9)).is_empty());
-        let dead = w.expire(VTime::from_secs(10));
-        assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].seq, SeqNo(0));
+        assert_eq!(w.expire(VTime::from_secs(9)), 0);
+        assert_eq!(w.expire(VTime::from_secs(10)), 1);
+        assert_eq!(w.oldest_seq(), Some(SeqNo(1)), "the t=0 tuple expired");
         assert_eq!(w.len(), 1);
         w.check_consistency();
     }
@@ -592,10 +606,13 @@ mod tests {
         // Two arrivals that were shed upstream still age the window.
         w.note_arrival();
         w.note_arrival();
-        assert!(w.expire(VTime::ZERO).is_empty(), "2 newer arrivals < 3");
+        assert_eq!(w.expire(VTime::ZERO), 0, "2 newer arrivals < 3");
         w.note_arrival();
-        let dead = w.expire(VTime::ZERO);
-        assert_eq!(dead.len(), 1, "3 newer arrivals expire the tuple");
+        assert_eq!(
+            w.expire(VTime::ZERO),
+            1,
+            "3 newer arrivals expire the tuple"
+        );
     }
 
     #[test]
@@ -741,8 +758,8 @@ mod tests {
         w.insert(tup(1, 0, 2, 0), 5.0);
         w.insert(tup(2, 1, 3, 0), 5.0); // evicts seq 0 (front of expiry queue)
         let dead = w.expire(VTime::from_secs(10));
-        assert_eq!(dead.len(), 1, "only seq 1 expires; seq 0 already gone");
-        assert_eq!(dead[0].seq, SeqNo(1));
+        assert_eq!(dead, 1, "only seq 1 expires; seq 0 already gone");
+        assert_eq!(w.oldest_seq(), Some(SeqNo(2)), "seq 1 expired, seq 2 stays");
         assert_eq!(w.len(), 1);
         w.check_consistency();
     }
