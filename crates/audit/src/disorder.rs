@@ -354,7 +354,6 @@ fn drive_sharded(
                 demote_permille: 100,
             },
             broadcast: true,
-            batch_ingest: true,
         })
         .build_sharded()
         .map_err(|e| fail(format!("sharded construction failed: {e:?}")))?;

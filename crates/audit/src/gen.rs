@@ -54,11 +54,6 @@ pub struct Case {
     /// forcing the skew router's promote/split/demote machinery into the
     /// differential (every `seed % 8 == 4`).
     pub zipf_hot: bool,
-    /// Ingest batch size for the engine-side runs: 1 feeds per-arrival,
-    /// larger values drive the batch-amortized path (which must replay
-    /// bit-identically). Rotates `1, 1, 7, 64` with the seed so every
-    /// sweep covers both paths and two batch granularities.
-    pub batch: usize,
     /// Whether this case pins the score-cache A/B class (every odd seed):
     /// each engine run is driven twice — productivity score cache on and
     /// off — and the two runs must be bit-identical in rows and in every
@@ -198,9 +193,6 @@ pub fn generate_case(seed: u64) -> Case {
         reduced,
         shards: if rng.gen_bool(0.5) { 2 } else { 4 },
         zipf_hot,
-        // Derived arithmetically (no rng draw) so the pinned seed classes
-        // above keep generating byte-identical cases.
-        batch: [1, 1, 7, 64][(seed % 4) as usize],
         cache_ab: seed % 2 == 1,
         arrivals,
     }

@@ -100,7 +100,7 @@ fn bench_packed_signs(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(5);
     let families = SignFamilies::draw(&mut rng, 2, 1000);
     let incidence = [(0usize, 0usize), (1usize, 1usize)];
-    let mut out = Vec::new();
+    let mut out = vec![0u64; mstream_core::mstream_sketch::signs::words_for(1000)];
     let mut group = c.benchmark_group("packed_signs");
     group.bench_function("eval_1000_copies", |b| {
         let mut x = 0u64;
@@ -267,111 +267,47 @@ fn bench_score_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// Vector-vs-scalar on the raw kernels, every mode the build supports:
-/// the pinned scalar reference, the lane-parallel safe form, the AVX2
-/// sign specializations when the host has them, and the dispatched entry
-/// point the engine actually calls. Each input is asserted bit-identical
-/// across modes before timing (the equivalence proptests own the
-/// exhaustive version of that claim).
-fn bench_kernel_modes(c: &mut Criterion) {
+/// The raw sketch kernels on 16K-element inputs.
+fn bench_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(8);
     const N: usize = 16 * 1024;
     let signs: Vec<u64> = (0..N / 64).map(|_| rng.gen()).collect();
     let f64s: Vec<f64> = (0..N).map(|_| rng.gen::<f64>() - 0.5).collect();
     let i64s: Vec<i64> = (0..N).map(|_| (rng.gen::<u64>() as i64) >> 8).collect();
 
-    let mut group = c.benchmark_group("kernel_modes");
+    let mut group = c.benchmark_group("kernels");
     // fold_weighted_signs: count-weighted ±1 folds into i64 counters (the
     // bank's settle kernel; weight 1 is one arrival, weight > 1 a pending
     // key that repeated within the epoch).
     for weight in [1i64, 7] {
-        let mut want = i64s.clone();
-        kernel::scalar::fold_weighted_signs(&signs, weight, &mut want);
-        let mut got = i64s.clone();
-        kernel::lanes::fold_weighted_signs(&signs, weight, &mut got);
-        assert_eq!(
-            want, got,
-            "fold_weighted_signs modes diverge at weight {weight}"
-        );
-        let mut dispatched = i64s.clone();
-        kernel::fold_weighted_signs(&signs, weight, &mut dispatched);
-        assert_eq!(
-            want, dispatched,
-            "dispatched fold diverges at weight {weight}"
-        );
         let mut buf = i64s.clone();
-        group.bench_function(&format!("fold_weighted_w{weight}_scalar"), |b| {
+        group.bench_function(&format!("fold_weighted_w{weight}"), |b| {
             b.iter(|| {
                 buf.copy_from_slice(&i64s);
-                kernel::scalar::fold_weighted_signs(black_box(&signs), black_box(weight), &mut buf);
-                black_box(&buf);
-            })
-        });
-        group.bench_function(&format!("fold_weighted_w{weight}_lanes"), |b| {
-            b.iter(|| {
-                buf.copy_from_slice(&i64s);
-                kernel::lanes::fold_weighted_signs(black_box(&signs), black_box(weight), &mut buf);
+                kernel::fold_weighted_signs(black_box(&signs), black_box(weight), &mut buf);
                 black_box(&buf);
             })
         });
     }
     // signed_copy: sign-bit XOR while copying (the probe row kernel).
-    {
-        let mut want = vec![0f64; N];
-        kernel::scalar::signed_copy(&signs, &f64s, &mut want);
-        let mut got = vec![0f64; N];
-        kernel::signed_copy(&signs, &f64s, &mut got);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&want), bits(&got), "signed_copy modes diverge");
-        let mut dst = vec![0f64; N];
-        group.bench_function("signed_copy_scalar", |b| {
-            b.iter(|| {
-                kernel::scalar::signed_copy(black_box(&signs), black_box(&f64s), &mut dst);
-                black_box(&dst);
-            })
-        });
-        group.bench_function("signed_copy_lanes", |b| {
-            b.iter(|| {
-                kernel::lanes::signed_copy(black_box(&signs), black_box(&f64s), &mut dst);
-                black_box(&dst);
-            })
-        });
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            group.bench_function("signed_copy_avx2", |b| {
-                b.iter(|| {
-                    kernel::avx2::signed_copy(black_box(&signs), black_box(&f64s), &mut dst);
-                    black_box(&dst);
-                })
-            });
-        }
-    }
+    let mut dst = vec![0f64; N];
+    group.bench_function("signed_copy", |b| {
+        b.iter(|| {
+            kernel::signed_copy(black_box(&signs), black_box(&f64s), &mut dst);
+            black_box(&dst);
+        })
+    });
     // group_sums: the mean stage of median-of-means (serial in-group
-    // order, lanes across groups).
-    {
-        let (s1, s2) = (32usize, N / 32);
-        let mut want = Vec::new();
-        kernel::scalar::group_sums(&f64s, s1, s2, &mut want);
-        let mut got = Vec::new();
-        kernel::lanes::group_sums(&f64s, s1, s2, &mut got);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&want), bits(&got), "group_sums modes diverge");
-        let mut out = Vec::new();
-        group.bench_function("group_sums_scalar", |b| {
-            b.iter(|| {
-                out.clear();
-                kernel::scalar::group_sums(black_box(&f64s), s1, s2, &mut out);
-                black_box(&out);
-            })
-        });
-        group.bench_function("group_sums_lanes", |b| {
-            b.iter(|| {
-                out.clear();
-                kernel::lanes::group_sums(black_box(&f64s), s1, s2, &mut out);
-                black_box(&out);
-            })
-        });
-    }
+    // order).
+    let (s1, s2) = (32usize, N / 32);
+    let mut out = Vec::new();
+    group.bench_function("group_sums", |b| {
+        b.iter(|| {
+            out.clear();
+            kernel::group_sums(black_box(&f64s), s1, s2, &mut out);
+            black_box(&out);
+        })
+    });
     group.finish();
 }
 
@@ -383,6 +319,6 @@ criterion_group!(
     bench_packed_signs,
     bench_productivity_repeated,
     bench_score_cache,
-    bench_kernel_modes
+    bench_kernels
 );
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //! index probes, probe kernels, and queue shedding.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mstream_core::mstream_join::{probe_each, probe_each_recursive, ProbePlan};
+use mstream_core::mstream_join::{probe_each, ProbePlan};
 use mstream_core::mstream_window::{Arena, FlatIndex, QueueVictim, ShedQueue, Slot, WindowStore};
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -93,9 +93,8 @@ fn bench_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// The iterative probe kernel against the retained recursive one on a
-/// 3-stream chain (middle origin — the star fast path plus a chain step
-/// from the ends), populated windows, random arrivals.
+/// The probe kernel on a 3-stream chain (middle origin — the star fast
+/// path), populated windows, random arrivals.
 fn bench_probe_kernel(c: &mut Criterion) {
     let names = ["R1", "R2", "R3"];
     let mut cat = Catalog::new();
@@ -126,26 +125,18 @@ fn bench_probe_kernel(c: &mut Criterion) {
         }
     }
     let mut group = c.benchmark_group("probe_kernel_chain3_mid");
-    for (label, recursive) in [("iterative", false), ("recursive", true)] {
-        let plan = ProbePlan::new(&q, StreamId(1));
-        let mut v = 0u64;
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                v = (v + 1) % 64;
-                let t = Tuple::new(StreamId(1), VTime::ZERO, SeqNo(seq), vec![Value(v), Value((v * 7) % 64)]);
-                let n = if recursive {
-                    probe_each_recursive(&plan, &t, &stores, |m| {
-                        black_box(m.origin());
-                    })
-                } else {
-                    probe_each(&plan, &t, &stores, |m| {
-                        black_box(m.origin());
-                    })
-                };
-                black_box(n)
-            })
-        });
-    }
+    let plan = ProbePlan::new(&q, StreamId(1));
+    let mut v = 0u64;
+    group.bench_function("iterative", |b| {
+        b.iter(|| {
+            v = (v + 1) % 64;
+            let t = Tuple::new(StreamId(1), VTime::ZERO, SeqNo(seq), vec![Value(v), Value((v * 7) % 64)]);
+            let n = probe_each(&plan, &t, &stores, |m| {
+                black_box(m.origin());
+            });
+            black_box(n)
+        })
+    });
     group.finish();
 }
 

@@ -1,20 +1,17 @@
-//! Self-timed probe/eviction microbenches: the flat hot path vs the
-//! pre-rewrite one, on the same machine in the same process.
+//! Self-timed eviction and index-probe microbenches: the flat hot path vs
+//! the pre-rewrite one, on the same machine in the same process.
 //!
 //! Because the legacy structures no longer exist in the library, this bin
-//! carries faithful replicas of what they were: the recursive probe kernel
-//! is retained in `mstream-join` (`probe_each_recursive`), and the old
+//! carries faithful replicas of what they were: the old
 //! `HashMap<Value, Vec<Slot>>`-indexed window store is rebuilt here from
-//! public pieces (`Arena` + `IndexedHeap` + std `HashMap`) with the exact
-//! per-entry layout `WindowStore` used to have. Every comparison first
-//! asserts the two sides produce identical results, then times them.
+//! public pieces (`Arena` + std `HashMap`) with the exact per-entry layout
+//! `WindowStore` used to have. The index comparison first asserts the two
+//! sides hold identical contents, then times them.
 //!
 //! Flags: `--quick` (smaller workloads, for CI sanity), `--json PATH`
 //! (emit rows for BENCH_probe.json), plus the common `--seed`.
 
 use mstream_bench::{args, table, Args};
-use mstream_core::mstream_join::{probe_each, probe_each_recursive, ProbePlan};
-use mstream_core::mstream_sketch::kernel;
 use mstream_core::mstream_window::{Arena, FlatIndex, Slot, WindowStore};
 use mstream_core::prelude::*;
 use rand::rngs::StdRng;
@@ -53,108 +50,6 @@ fn tup(stream: usize, seq: u64, a: u64, b: u64) -> Tuple {
         SeqNo(seq),
         vec![Value(a), Value(b)],
     )
-}
-
-fn query(predicates: &[(&str, &str)], n: usize) -> JoinQuery {
-    let names = ["R1", "R2", "R3"];
-    let mut c = Catalog::new();
-    for &name in &names[..n] {
-        c.add_stream(StreamSchema::new(name, &["A1", "A2"]));
-    }
-    JoinQuery::from_names(c, predicates, WindowSpec::secs(1 << 20)).unwrap()
-}
-
-/// Populates per-stream windows with `per_window` tuples over a value
-/// domain sized for moderate fanout, and mints the arrival batch.
-fn probe_workload(
-    q: &JoinQuery,
-    per_window: usize,
-    arrivals: usize,
-    origin: usize,
-    seed: u64,
-) -> (Vec<WindowStore>, Vec<Tuple>) {
-    let n = q.n_streams();
-    let domain = (per_window as u64 / 16).max(4);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut stores: Vec<WindowStore> = (0..n)
-        .map(|s| {
-            WindowStore::new(
-                q.window(StreamId(s)),
-                q.join_attrs(StreamId(s)),
-                per_window + 1,
-            )
-        })
-        .collect();
-    let mut seq = 0u64;
-    for (s, store) in stores.iter_mut().enumerate() {
-        for _ in 0..per_window {
-            let t = tup(s, seq, rng.gen_range(0..domain), rng.gen_range(0..domain));
-            store.insert(t, 0.0);
-            seq += 1;
-        }
-    }
-    let batch = (0..arrivals)
-        .map(|i| {
-            tup(
-                origin,
-                1_000_000 + i as u64,
-                rng.gen_range(0..domain),
-                rng.gen_range(0..domain),
-            )
-        })
-        .collect();
-    (stores, batch)
-}
-
-/// Times the iterative kernel against the retained recursive one on the
-/// same stores and arrival batch, asserting identical match counts first.
-fn bench_probe_kernel(
-    name: &str,
-    q: &JoinQuery,
-    origin: usize,
-    per_window: usize,
-    arrivals: usize,
-    repeats: usize,
-    seed: u64,
-) -> Row {
-    let (stores, batch) = probe_workload(q, per_window, arrivals, origin, seed);
-    let plan = ProbePlan::new(q, StreamId(origin));
-    // Correctness smoke: counts must agree tuple-for-tuple.
-    for t in &batch[..batch.len().min(200)] {
-        let a = probe_each(&plan, t, &stores, |_| {});
-        let b = probe_each_recursive(&plan, t, &stores, |_| {});
-        assert_eq!(a, b, "{name}: kernels disagree");
-    }
-    let run_iter = || {
-        let mut total = 0u64;
-        for t in &batch {
-            total += probe_each(&plan, black_box(t), &stores, |b| {
-                black_box(b.origin());
-            });
-        }
-        black_box(total);
-    };
-    let run_rec = || {
-        let mut total = 0u64;
-        for t in &batch {
-            total += probe_each_recursive(&plan, black_box(t), &stores, |b| {
-                black_box(b.origin());
-            });
-        }
-        black_box(total);
-    };
-    run_iter(); // warmup
-    run_rec();
-    let flat = time_ns_per_op(repeats, batch.len() as u64, run_iter);
-    let base = time_ns_per_op(repeats, batch.len() as u64, run_rec);
-    Row {
-        bench: name.to_string(),
-        baseline: "recursive kernel".to_string(),
-        baseline_ns_per_op: base,
-        flat_ns_per_op: flat,
-        speedup: base / flat,
-        ops: batch.len() as u64,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -393,172 +288,10 @@ fn bench_index_probe(n_slots: usize, probes: usize, repeats: usize, seed: u64) -
     }
 }
 
-/// The batch-amortized engine ingest (`ingest_batch`, one prefetched
-/// lookup pass + coalesced priority rescoring) vs the per-arrival
-/// reference on the same trace, asserted bit-identical before timing:
-/// same produced count, same shed count, same deterministic metrics.
-fn bench_engine_batched(
-    arrivals: usize,
-    capacity: usize,
-    batch: usize,
-    repeats: usize,
-    seed: u64,
-) -> Row {
-    let q = query(&[("R1.A1", "R2.A1"), ("R2.A1", "R3.A1")], 3);
-    let domain = (capacity as u64 / 4).max(8);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let trace: Vec<Arrival> = (0..arrivals)
-        .map(|i| {
-            Arrival::new(
-                StreamId(i % 3),
-                vec![
-                    Value(rng.gen_range(0..domain)),
-                    Value(rng.gen_range(0..domain)),
-                ],
-                VTime::from_secs(i as u64 / 4),
-            )
-        })
-        .collect();
-    // FIFO isolates the data plane: per-arrival cost is probe + insert +
-    // expiry, so the batched path's prefetched lookup pass is what's
-    // measured (sketch policies bury it under per-tuple estimation math).
-    let mk = || {
-        EngineBuilder::new(q.clone())
-            .policy(Fifo)
-            .capacity_per_window(capacity)
-            .seed(seed)
-            .build()
-            .unwrap()
-    };
-    let det = |m: &EngineMetrics| EngineMetrics {
-        sketch_observe_ns: 0,
-        priority_rebuild_ns: 0,
-        score_ns: 0,
-        ..m.clone()
-    };
-    // Correctness first: the batched replay must be bit-identical.
-    let mut per = mk();
-    let mut per_sink = CountSink::default();
-    for a in &trace {
-        per.ingest(a.clone(), &mut per_sink);
-    }
-    let mut bat = mk();
-    let mut bat_sink = CountSink::default();
-    for chunk in trace.chunks(batch) {
-        bat.ingest_batch(chunk.iter().cloned(), &mut bat_sink);
-    }
-    assert_eq!(per_sink.produced, bat_sink.produced, "batched produced diverged");
-    assert_eq!(det(per.metrics()), det(bat.metrics()), "batched metrics diverged");
-
-    let run_per = || {
-        let mut engine = mk();
-        let mut sink = CountSink::default();
-        for a in &trace {
-            engine.ingest(a.clone(), &mut sink);
-        }
-        black_box(sink.produced);
-    };
-    let run_bat = || {
-        let mut engine = mk();
-        let mut sink = CountSink::default();
-        for chunk in trace.chunks(batch) {
-            engine.ingest_batch(chunk.iter().cloned(), &mut sink);
-        }
-        black_box(sink.produced);
-    };
-    run_per(); // warmup
-    run_bat();
-    let flat = time_ns_per_op(repeats, arrivals as u64, run_bat);
-    let base = time_ns_per_op(repeats, arrivals as u64, run_per);
-    Row {
-        bench: format!("engine_ingest_batch{batch}"),
-        baseline: "per-arrival ingest".to_string(),
-        baseline_ns_per_op: base,
-        flat_ns_per_op: flat,
-        speedup: base / flat,
-        ops: arrivals as u64,
-    }
-}
-
-/// The dispatched sign-application kernel (lane/AVX2 path) vs the pinned
-/// scalar reference on the same buffers, asserted bitwise-equal first.
-fn bench_kernel_signed_copy(len: usize, repeats: usize, seed: u64) -> Row {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let src: Vec<f64> = (0..len).map(|_| rng.gen::<f64>() - 0.5).collect();
-    let words: Vec<u64> = (0..len.div_ceil(64)).map(|_| rng.gen()).collect();
-    let mut out_scalar = vec![0f64; len];
-    let mut out_vec = vec![0f64; len];
-    kernel::scalar::signed_copy(&words, &src, &mut out_scalar);
-    kernel::signed_copy(&words, &src, &mut out_vec);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&out_scalar), bits(&out_vec), "signed_copy kernels diverge");
-    let mut run_scalar = || {
-        kernel::scalar::signed_copy(black_box(&words), black_box(&src), &mut out_scalar);
-        black_box(&out_scalar);
-    };
-    let mut run_vec = || {
-        kernel::signed_copy(black_box(&words), black_box(&src), &mut out_vec);
-        black_box(&out_vec);
-    };
-    run_scalar();
-    run_vec();
-    let flat = time_ns_per_op(repeats.max(50), len as u64, &mut run_vec);
-    let base = time_ns_per_op(repeats.max(50), len as u64, &mut run_scalar);
-    Row {
-        bench: format!("kernel_signed_copy_{len}"),
-        baseline: format!("scalar kernel (dispatch: {:?})", kernel::kernel_mode()),
-        baseline_ns_per_op: base,
-        flat_ns_per_op: flat,
-        speedup: base / flat,
-        ops: len as u64,
-    }
-}
-
-/// The dispatched mean-stage kernel (`group_sums`, lane-parallel across
-/// groups with serial in-group order) vs the pinned scalar reference,
-/// asserted bitwise-equal first.
-fn bench_kernel_group_sums(s1: usize, s2: usize, repeats: usize, seed: u64) -> Row {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let per_copy: Vec<f64> = (0..s1 * s2).map(|_| rng.gen::<f64>() - 0.5).collect();
-    let mut out_scalar = Vec::new();
-    let mut out_vec = Vec::new();
-    kernel::scalar::group_sums(&per_copy, s1, s2, &mut out_scalar);
-    kernel::group_sums(&per_copy, s1, s2, &mut out_vec);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&out_scalar), bits(&out_vec), "group_sums kernels diverge");
-    let mut run_scalar = || {
-        out_scalar.clear();
-        kernel::scalar::group_sums(black_box(&per_copy), s1, s2, &mut out_scalar);
-        black_box(&out_scalar);
-    };
-    let mut run_vec = || {
-        out_vec.clear();
-        kernel::group_sums(black_box(&per_copy), s1, s2, &mut out_vec);
-        black_box(&out_vec);
-    };
-    run_scalar();
-    run_vec();
-    let ops = (s1 * s2) as u64;
-    let flat = time_ns_per_op(repeats.max(50), ops, &mut run_vec);
-    let base = time_ns_per_op(repeats.max(50), ops, &mut run_scalar);
-    Row {
-        bench: format!("kernel_group_sums_{s1}x{s2}"),
-        baseline: format!("scalar kernel (dispatch: {:?})", kernel::kernel_mode()),
-        baseline_ns_per_op: base,
-        flat_ns_per_op: flat,
-        speedup: base / flat,
-        ops,
-    }
-}
-
 fn main() {
     let a = Args::from_env();
     let quick = a.has_flag("--quick");
-    let (per_window, arrivals, repeats) = if quick {
-        (1_024, 400, 3)
-    } else {
-        (4_096, 4_000, 5)
-    };
+    let repeats = if quick { 3 } else { 5 };
     let (cap, churn) = if quick { (1_024, 4_096) } else { (4_096, 65_536) };
     let (idx_slots, idx_probes) = if quick {
         (4_096, 100_000)
@@ -566,56 +299,9 @@ fn main() {
         (16_384, 2_000_000)
     };
 
-    let chain3 = query(&[("R1.A1", "R2.A1"), ("R2.A2", "R3.A1")], 3);
-    let chain2 = query(&[("R1.A1", "R2.A1")], 2);
-    let triangle = query(
-        &[("R1.A1", "R2.A1"), ("R2.A2", "R3.A1"), ("R3.A2", "R1.A2")],
-        3,
-    );
-
     let rows = vec![
-        bench_probe_kernel("probe_chain2", &chain2, 0, per_window, arrivals, repeats, a.seed),
-        bench_probe_kernel(
-            "probe_chain3_end",
-            &chain3,
-            0,
-            per_window,
-            arrivals,
-            repeats,
-            a.seed + 1,
-        ),
-        bench_probe_kernel(
-            "probe_chain3_mid_star",
-            &chain3,
-            1,
-            per_window,
-            arrivals,
-            repeats,
-            a.seed + 2,
-        ),
-        bench_probe_kernel(
-            "probe_triangle_residual",
-            &triangle,
-            0,
-            per_window,
-            arrivals,
-            repeats,
-            a.seed + 3,
-        ),
         bench_insert_evict(cap, churn, repeats, a.seed + 4),
         bench_index_probe(idx_slots, idx_probes, repeats, a.seed + 5),
-        // Windows sized to hold the whole trace: the stores grow far past
-        // cache, so the batched pass's software prefetch has real misses
-        // to hide (small resident stores sit in L2 and see pure overhead).
-        bench_engine_batched(
-            if quick { 12_000 } else { 90_000 },
-            if quick { 12_000 } else { 90_000 },
-            64,
-            repeats,
-            a.seed + 6,
-        ),
-        bench_kernel_signed_copy(if quick { 16_384 } else { 65_536 }, repeats, a.seed + 7),
-        bench_kernel_group_sums(32, if quick { 512 } else { 2_048 }, repeats, a.seed + 8),
     ];
 
     let header: Vec<String> = ["bench", "baseline ns/op", "flat ns/op", "speedup"]
@@ -633,6 +319,6 @@ fn main() {
             ]
         })
         .collect();
-    table::print_table("probe/eviction hot path: legacy vs flat", &header, &cells);
+    table::print_table("eviction/index hot path: legacy vs flat", &header, &cells);
     args::maybe_dump_json(&a.json, &rows);
 }

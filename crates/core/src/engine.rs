@@ -52,13 +52,12 @@ pub struct EngineConfig {
     /// bound. `Some(VDur::ZERO)` is valid: no lateness tolerance, but
     /// cross-stream timestamp alignment still applies.
     pub disorder: Option<VDur>,
-    /// Epoch-memoized productivity scoring (DESIGN.md §16). `None` (the
-    /// default) defers to the process-wide `MSTREAM_SCORE_CACHE`
-    /// environment pin; `Some(on)` overrides it for this engine instance
-    /// (the audit harness A/B-compares cached and uncached runs in one
-    /// process). Cached and uncached runs are bit-identical by
-    /// construction — the memo stores the exact `f64` under an exact key.
-    pub score_cache: Option<bool>,
+    /// Epoch-memoized productivity scoring (DESIGN.md §16), on by default.
+    /// Cached and uncached runs are bit-identical by construction — the
+    /// memo stores the exact `f64` under an exact key — so turning it off
+    /// only serves A/B comparisons (the audit harness runs both in one
+    /// process).
+    pub score_cache: bool,
 }
 
 impl Default for EngineConfig {
@@ -69,7 +68,7 @@ impl Default for EngineConfig {
             epoch: None,
             seed: 0xEA51,
             disorder: None,
-            score_cache: None,
+            score_cache: true,
         }
     }
 }
@@ -143,46 +142,19 @@ pub struct ShedJoinEngine {
     /// Bounded-disorder reorder buffers; `None` runs the legacy
     /// arrival-time path untouched.
     front: Option<EventTimeFrontEnd>,
-    /// Recycled buffer behind [`ShedJoinEngine::ingest_batch`] (no
-    /// per-batch allocation at steady state).
-    batch_scratch: Vec<BatchItem>,
-}
-
-/// One pre-minted tuple of a batched ingest: the unit consumed by
-/// [`ShedJoinEngine::ingest_tuple_batch`]. `now` is the processing
-/// timestamp (the arrival timestamp unless the tuple waited in a shard
-/// channel), `role` the replica discipline of sharded delivery.
-#[derive(Clone, Debug)]
-pub struct BatchItem {
-    /// The minted tuple.
-    pub tuple: Tuple,
-    /// Processing time, forwarded to the per-arrival pipeline unchanged.
-    pub now: VTime,
-    /// Probe/accounting role (see [`IngestRole`]).
-    pub role: IngestRole,
 }
 
 /// A sparse per-stream accumulator for produced-output deltas gathered
-/// during probes and applied as **one** coalesced heap update per touched
-/// slot per flush. `delta` is indexed by the dense arena slot index and is
-/// all-zeros between flushes; `touched` records each credited slot in
+/// during one arrival's probe and applied as **one** coalesced heap update
+/// per touched slot. `delta` is indexed by the dense arena slot index and
+/// is all-zeros between flushes; `touched` records each credited slot in
 /// first-match order. Replaces a `HashMap<(stream, Slot), u64>` scratch:
 /// no SipHash in the match callback and no `drain().collect()` allocation
-/// per arrival.
-///
-/// On the per-arrival path a flush follows every probe, so an index maps
-/// to at most one live slot while credits are pending. On the batched path
-/// credits stay pending across arrivals, and a window expiry may free an
-/// index that a later insert reuses for a *different* tuple before the
-/// flush — `owner` (the full generational [`Slot`]) detects that: a credit
-/// for a new owner supersedes the stale delta, whose tuple is dead and
-/// whose pending credits are unobservable (produced counters and
-/// priorities die with their tuple; evictions never see pending credits
-/// because the engine flushes before any eviction-capable insert).
+/// per arrival. A flush follows every probe, before anything can expire
+/// or evict, so an index names the same live slot from credit to flush.
 #[derive(Default)]
 pub(crate) struct ProducedScratch {
     delta: Vec<u64>,
-    owner: Vec<Option<Slot>>,
     pub(crate) touched: Vec<Slot>,
 }
 
@@ -192,38 +164,21 @@ impl ProducedScratch {
         let i = slot.index();
         if i >= self.delta.len() {
             self.delta.resize(i + 1, 0);
-            self.owner.resize(i + 1, None);
         }
         if self.delta[i] == 0 {
-            self.owner[i] = Some(slot);
-            self.touched.push(slot);
-        } else if self.owner[i] != Some(slot) {
-            // The index was freed (expiry) and reallocated to a new tuple
-            // while the old delta was pending: drop the dead tuple's
-            // credits, start counting for the live one. The stale
-            // `touched` entry is skipped at flush by the owner check.
-            self.delta[i] = 0;
-            self.owner[i] = Some(slot);
             self.touched.push(slot);
         }
         self.delta[i] += n;
     }
 
     /// Drains the pending credits, invoking `apply(slot, count)` once per
-    /// live owner in first-credit order. Leaves the scratch all-zero.
+    /// credited slot in first-credit order. Leaves the scratch all-zero.
     #[inline]
     pub(crate) fn drain_credits(&mut self, mut apply: impl FnMut(Slot, u64)) {
         let mut touched = std::mem::take(&mut self.touched);
         for slot in touched.drain(..) {
-            let i = slot.index();
-            if self.owner[i] != Some(slot) {
-                continue; // superseded by a later generation at this index
-            }
-            let cnt = std::mem::take(&mut self.delta[i]);
-            self.owner[i] = None;
-            if cnt > 0 {
-                apply(slot, cnt);
-            }
+            let cnt = std::mem::take(&mut self.delta[slot.index()]);
+            apply(slot, cnt);
         }
         self.touched = touched;
     }
@@ -256,8 +211,8 @@ impl ShedJoinEngine {
         let mut sketches = reqs
             .sketches
             .then(|| TumblingSketches::new(&query, config.bank, epoch.expect("resolved above")));
-        if let (Some(on), Some(s)) = (config.score_cache, sketches.as_mut()) {
-            s.set_score_cache(on);
+        if let Some(s) = sketches.as_mut() {
+            s.set_score_cache(config.score_cache);
         }
         let partner_freq = reqs
             .partner_freq
@@ -277,7 +232,6 @@ impl ShedJoinEngine {
             produced_scratch: (0..n).map(|_| ProducedScratch::default()).collect(),
             probe_scratch: ProbeScratch::default(),
             front: config.disorder.map(|k| EventTimeFrontEnd::new(k, n)),
-            batch_scratch: Vec::new(),
         })
     }
 
@@ -533,145 +487,6 @@ impl ShedJoinEngine {
         sink: &mut impl EmitSink,
         role: IngestRole,
     ) -> IngestOutcome {
-        self.ingest_tuple_inner(tuple, now, sink, role, false)
-    }
-
-    /// Runs a pre-minted batch through the operator, replaying the
-    /// per-arrival path bit-identically (same emissions in the same order,
-    /// same shed decisions, same metrics up to wall-clock timings) while
-    /// amortizing the fixed costs across the batch:
-    ///
-    /// * an upfront pass software-prefetches each arrival's first index
-    ///   probe (prefetching is semantically invisible, so this cannot
-    ///   affect results);
-    /// * produced-credit heap rescoring is **deferred** and coalesced — a
-    ///   slot matched by many arrivals of the batch gets one
-    ///   `add_produced`/`update_priority` instead of one per arrival.
-    ///   Deferral is safe because a pending credit is only *observable*
-    ///   through a priority read, and the engine flushes at every point
-    ///   one can happen: before an epoch-rollover rebuild, before any
-    ///   insert that may evict, and at batch end (DESIGN.md §15).
-    ///
-    /// Items are consumed (the vector is drained and its capacity
-    /// retained, so callers can recycle it). The aggregate outcome sums
-    /// `produced`/`shed`; `stored` reports the final item's disposition
-    /// like the event-time release loop reports its last.
-    pub fn ingest_tuple_batch(
-        &mut self,
-        items: &mut Vec<BatchItem>,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        for item in items.iter() {
-            if item.role.probe {
-                let origin = item.tuple.stream.index();
-                if let Some(step) = self.plans[origin].steps().first() {
-                    self.stores[step.stream.index()]
-                        .prefetch(step.probe_attr, item.tuple.values[step.drive_attr]);
-                }
-            }
-        }
-        let mut total = IngestOutcome {
-            produced: 0,
-            stored: true,
-            shed: 0,
-        };
-        for item in items.drain(..) {
-            let out = self.ingest_tuple_inner(item.tuple, item.now, sink, item.role, true);
-            total.produced += out.produced;
-            total.shed += out.shed;
-            total.stored = out.stored;
-        }
-        self.flush_produced();
-        total
-    }
-
-    /// Batch counterpart of [`ShedJoinEngine::ingest`]: mints every
-    /// arrival and runs them through [`ShedJoinEngine::ingest_tuple_batch`]
-    /// at their own timestamps. With an event-time front end configured,
-    /// arrivals fall back to the per-arrival path (the reorder buffers
-    /// re-sequence them individually anyway).
-    pub fn ingest_batch(
-        &mut self,
-        arrivals: impl IntoIterator<Item = Arrival>,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        if self.front.is_some() {
-            let mut total = IngestOutcome {
-                produced: 0,
-                stored: true,
-                shed: 0,
-            };
-            for arrival in arrivals {
-                let out = self.ingest(arrival, sink);
-                total.produced += out.produced;
-                total.shed += out.shed;
-                total.stored = out.stored;
-            }
-            return total;
-        }
-        let mut items = std::mem::take(&mut self.batch_scratch);
-        items.clear();
-        for arrival in arrivals {
-            let now = arrival.ts;
-            let tuple = self.mint(arrival);
-            items.push(BatchItem {
-                tuple,
-                now,
-                role: IngestRole::FULL,
-            });
-        }
-        let out = self.ingest_tuple_batch(&mut items, sink);
-        self.batch_scratch = items;
-        out
-    }
-
-    /// Applies every pending produced-output credit: one coalesced
-    /// `add_produced` + priority refresh per touched live slot, in
-    /// first-credit order. Refreshes use the per-tuple state cached at the
-    /// last full scoring, keeping the paper's "productivity computed at
-    /// most twice per lifetime" discipline. Heap updates commute —
-    /// (score, seq-tie) is a total order — so credit application order
-    /// yields the same observable results as any other; only *when* the
-    /// flush happens relative to priority reads is load-bearing.
-    fn flush_produced(&mut self) {
-        let Self {
-            policy,
-            stores,
-            produced_scratch,
-            ..
-        } = self;
-        for (k, scratch) in produced_scratch.iter_mut().enumerate() {
-            scratch.drain_credits(|slot, cnt| {
-                let Some(total) = stores[k].add_produced(slot, cnt) else {
-                    return;
-                };
-                let state = stores[k].state(slot).expect("counted slot is live");
-                let score = clamp_score(policy.refresh_priority(state, total));
-                stores[k].update_priority(slot, score);
-            });
-        }
-    }
-
-    /// Whether storing one more tuple on `stream` can trigger an eviction
-    /// — the deferred-credit flush gate for batched ingest (evictions read
-    /// priorities, so every pending refresh must land first).
-    fn eviction_possible(&self, stream: usize) -> bool {
-        match self.memory {
-            MemoryMode::PerWindow(_) | MemoryMode::PerWindowEach(_) => {
-                self.stores[stream].len() >= self.stores[stream].capacity()
-            }
-            MemoryMode::GlobalPool(total) => self.total_resident() >= total,
-        }
-    }
-
-    fn ingest_tuple_inner(
-        &mut self,
-        tuple: Tuple,
-        now: VTime,
-        sink: &mut impl EmitSink,
-        role: IngestRole,
-        defer_credits: bool,
-    ) -> IngestOutcome {
         let stream = tuple.stream;
         // 1. Fold into the current tumbling estimation state (AGMS sketches
         //    and/or exact arrival-frequency tables); on epoch rollover,
@@ -690,10 +505,6 @@ impl ShedJoinEngine {
         if rolled {
             self.metrics.epoch_rollovers += 1;
             if self.reqs.recompute_on_epoch {
-                // The rebuild reads produced counts: land any credits still
-                // pending from earlier arrivals of a batch first (no-op on
-                // the per-arrival path, whose scratch is always drained).
-                self.flush_produced();
                 let t0 = Instant::now();
                 self.rebuild_all_priorities(now);
                 self.metrics.priority_rebuild_ns += t0.elapsed().as_nanos() as u64;
@@ -730,22 +541,12 @@ impl ShedJoinEngine {
             self.metrics.replicated += 1;
         }
         // 4. Credit output to the participating window tuples and refresh
-        //    their priorities (the RS measure depends on produced counts).
-        //    Per-arrival: applied right here, one coalesced heap update per
-        //    touched slot. Batched: left pending so a slot matched by many
-        //    arrivals still costs one update — flushed before anything
-        //    reads a priority (rollover rebuild above, eviction gate below,
-        //    batch end).
-        if track && produced > 0 && !defer_credits {
+        //    their priorities (the RS measure depends on produced counts):
+        //    one coalesced heap update per touched slot.
+        if track && produced > 0 {
             self.flush_produced();
         }
-        // 5. Score and store the arriving tuple, shedding if full. An
-        //    insert into a full window evicts by priority, so the batched
-        //    path must land pending refreshes first to pick the same
-        //    victim the per-arrival replay would.
-        if defer_credits && self.eviction_possible(stream.index()) {
-            self.flush_produced();
-        }
+        // 5. Score and store the arriving tuple, shedding if full.
         let t0 = Instant::now();
         let (score, state) = self.score_window_with_state(&tuple, 0, now);
         self.metrics.score_ns += t0.elapsed().as_nanos() as u64;
@@ -754,6 +555,30 @@ impl ShedJoinEngine {
             produced,
             stored,
             shed,
+        }
+    }
+
+    /// Applies the arrival's produced-output credits: one coalesced
+    /// `add_produced` + priority refresh per touched slot, in first-credit
+    /// order. Refreshes use the per-tuple state cached at the last full
+    /// scoring, keeping the paper's "productivity computed at most twice
+    /// per lifetime" discipline.
+    fn flush_produced(&mut self) {
+        let Self {
+            policy,
+            stores,
+            produced_scratch,
+            ..
+        } = self;
+        for (k, scratch) in produced_scratch.iter_mut().enumerate() {
+            scratch.drain_credits(|slot, cnt| {
+                let Some(total) = stores[k].add_produced(slot, cnt) else {
+                    return;
+                };
+                let state = stores[k].state(slot).expect("counted slot is live");
+                let score = clamp_score(policy.refresh_priority(state, total));
+                stores[k].update_priority(slot, score);
+            });
         }
     }
 
@@ -1068,7 +893,7 @@ mod tests {
             epoch: None,
             seed: 3,
             disorder: None,
-            score_cache: None,
+            score_cache: true,
         }
     }
 
@@ -1158,7 +983,7 @@ mod tests {
         for mk in policies {
             let run = |cached: bool| {
                 let config = EngineConfig {
-                    score_cache: Some(cached),
+                    score_cache: cached,
                     ..cfg(16)
                 };
                 let mut engine = ShedJoinEngine::new(chain3(40), mk(), config).unwrap();

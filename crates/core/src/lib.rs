@@ -78,7 +78,7 @@ pub mod shard;
 pub mod sim;
 
 pub use builder::{BuildError, EngineBuilder};
-pub use engine::{BatchItem, EngineConfig, MemoryMode, ShedJoinEngine};
+pub use engine::{EngineConfig, MemoryMode, ShedJoinEngine};
 pub use ingest::{
     Arrival, CountSink, EmitSink, FnSink, IngestOutcome, IngestRole, QueryFnSink, QueryRowsSink,
     VecSink,
@@ -100,7 +100,7 @@ pub use mstream_workload;
 /// One-stop imports for applications and examples.
 pub mod prelude {
     pub use crate::builder::{BuildError, EngineBuilder};
-    pub use crate::engine::{BatchItem, EngineConfig, MemoryMode, ShedJoinEngine};
+    pub use crate::engine::{EngineConfig, MemoryMode, ShedJoinEngine};
     pub use crate::ingest::{
         Arrival, CountSink, EmitSink, FnSink, IngestOutcome, IngestRole, QueryFnSink,
         QueryRowsSink, VecSink,

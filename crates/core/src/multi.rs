@@ -160,9 +160,9 @@ struct LiveStore {
 /// refreshed by the store owner's policy (credits are only accrued by
 /// owner-class emissions, keeping the owner's counters solo-identical).
 /// The multi-query twin of the solo engine's `flush_produced`; shares its
-/// generation-safe [`ProducedScratch`]. Only live stores can hold credits:
-/// every ingest call drains them before it returns, and a freed store's
-/// scratch is reset with it.
+/// [`ProducedScratch`]. Only live stores can hold credits: every ingest
+/// call drains them before it returns, and a freed store's scratch is
+/// reset with it.
 fn flush_credit_stores(
     stores: &mut [Option<StoreEntry>],
     scratches: &mut [ProducedScratch],
@@ -236,8 +236,6 @@ pub struct MultiQueryEngine {
     /// engine-level cache statistics stay monotone as classes (and the
     /// sketch banks carrying the live counters) come and go.
     retired_cache: RetiredCacheStats,
-    /// Recycled buffer behind [`MultiQueryEngine::ingest_batch`].
-    batch_scratch: Vec<(Tuple, VTime)>,
 }
 
 /// Sketch-side cache counters surviving their class (see
@@ -325,7 +323,6 @@ impl MultiQueryEngine {
             next_seq: SeqNo(0),
             metrics: EngineMetrics::default(),
             retired_cache: RetiredCacheStats::default(),
-            batch_scratch: Vec::new(),
         };
         engine.per_window_capacity()?;
         // Group into classes first so structurally identical queries share
@@ -704,81 +701,7 @@ impl MultiQueryEngine {
         now: VTime,
         sink: &mut impl EmitSink,
     ) -> IngestOutcome {
-        self.ingest_tuple_inner::<FrameKernel>(tuple, now, sink, false)
-    }
-
-    /// Runs a pre-minted batch through the shared data plane, replaying
-    /// the per-arrival path bit-identically (same fan-out emissions in the
-    /// same order, same shed decisions) with the batch amortizations of
-    /// the solo engine: an upfront pass software-prefetches each tuple's
-    /// origin-driven trie-root probes, and produced-credit rescoring is
-    /// deferred — flushed before any owner rollover rebuild, before any
-    /// at-capacity insert, and at batch end. Items are drained; the
-    /// vector's capacity is retained for recycling.
-    pub fn ingest_tuple_batch(
-        &mut self,
-        items: &mut Vec<(Tuple, VTime)>,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        self.ingest_batch_with::<FrameKernel>(items, sink)
-    }
-
-    fn ingest_batch_with<K: TrieKernel>(
-        &mut self,
-        items: &mut Vec<(Tuple, VTime)>,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        for (tuple, _) in items.iter() {
-            let Some(roots) = self.tries.get(tuple.stream.index()) else {
-                continue;
-            };
-            for node in roots {
-                // Trie roots are driven by the arriving tuple itself.
-                let (PathRef::Origin, attr) = &node.drive else {
-                    continue;
-                };
-                if let Some(entry) = self.stores[node.store].as_ref() {
-                    entry.store.prefetch(node.probe_attr, tuple.values[*attr]);
-                }
-            }
-        }
-        let mut total = IngestOutcome {
-            produced: 0,
-            stored: true,
-            shed: 0,
-        };
-        for (tuple, now) in items.drain(..) {
-            let out = self.ingest_tuple_inner::<K>(tuple, now, sink, true);
-            total.produced += out.produced;
-            total.shed += out.shed;
-            total.stored = out.stored;
-        }
-        flush_credit_stores(
-            &mut self.stores,
-            &mut self.scratches,
-            &self.classes,
-            &self.live_stores,
-        );
-        total
-    }
-
-    /// Batch counterpart of [`MultiQueryEngine::ingest`]: mints every
-    /// arrival and feeds [`MultiQueryEngine::ingest_tuple_batch`].
-    pub fn ingest_batch(
-        &mut self,
-        arrivals: impl IntoIterator<Item = Arrival>,
-        sink: &mut impl EmitSink,
-    ) -> IngestOutcome {
-        let mut items = std::mem::take(&mut self.batch_scratch);
-        items.clear();
-        for arrival in arrivals {
-            let now = arrival.ts;
-            let tuple = self.mint(arrival);
-            items.push((tuple, now));
-        }
-        let out = self.ingest_tuple_batch(&mut items, sink);
-        self.batch_scratch = items;
-        out
+        self.ingest_tuple_inner::<FrameKernel>(tuple, now, sink)
     }
 
     fn ingest_tuple_inner<K: TrieKernel>(
@@ -786,7 +709,6 @@ impl MultiQueryEngine {
         tuple: Tuple,
         now: VTime,
         sink: &mut impl EmitSink,
-        defer_credits: bool,
     ) -> IngestOutcome {
         let g = tuple.stream;
         assert!(
@@ -825,11 +747,6 @@ impl MultiQueryEngine {
             if !class.reqs.recompute_on_epoch {
                 continue;
             }
-            // The rebuild reads produced counts: land any credits still
-            // pending from earlier arrivals of a batch first (no-op on the
-            // per-arrival path, whose scratches are always drained).
-            flush_credit_stores(stores, scratches, classes, live_stores);
-            let class = classes[cid].as_mut().expect("class observed above");
             let QueryClass {
                 query,
                 policy,
@@ -910,31 +827,13 @@ impl MultiQueryEngine {
         metrics.total_output += produced;
         metrics.processed += 1;
         // 4. Apply produced-output credits: one coalesced heap update per
-        //    touched slot (see `flush_credit_stores`). Batched arrivals
-        //    leave them pending instead, so a slot matched by many batch
-        //    members still costs one update.
-        if !defer_credits {
-            flush_credit_stores(stores, scratches, classes, live_stores);
-        }
+        //    touched slot (see `flush_credit_stores`).
+        flush_credit_stores(stores, scratches, classes, live_stores);
         // 5. Store the arrival once per (stream, window) store, scored and
-        //    tagged by the store's owner; shed if full. A full store evicts
-        //    by priority, so the batched path lands pending refreshes
-        //    first to pick the same victim the per-arrival replay would.
-        let arrival_stores = || live_stores.iter().filter(|l| l.gstream == g);
-        if defer_credits
-            && arrival_stores().any(|l| {
-                let store = &stores[l.store]
-                    .as_ref()
-                    .expect("listed store is live")
-                    .store;
-                store.len() >= store.capacity()
-            })
-        {
-            flush_credit_stores(stores, scratches, classes, live_stores);
-        }
+        //    tagged by the store's owner; shed if full.
         let mut stored = false;
         let mut shed = 0u64;
-        for l in arrival_stores() {
+        for l in live_stores.iter().filter(|l| l.gstream == g) {
             let entry = stores[l.store].as_mut().expect("listed store is live");
             let class = classes[l.owner].as_mut().expect("owner is live");
             let mut local = tuple.clone();
@@ -1135,8 +1034,8 @@ fn make_class(
     let mut sketches = reqs.sketches.then(|| {
         TumblingSketches::new(&query, config.bank, epoch.expect("resolved above"))
     });
-    if let (Some(on), Some(s)) = (config.score_cache, sketches.as_mut()) {
-        s.set_score_cache(on);
+    if let Some(s) = sketches.as_mut() {
+        s.set_score_cache(config.score_cache);
     }
     let partner_freq = reqs
         .partner_freq
@@ -2052,7 +1951,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let rs = rng.gen_range(0..2) == 0;
         let capacity = [6, 16, 1 << 12][rng.gen_range(0..3)];
-        let batched = rng.gen_range(0..2) == 0;
         let mut last = None;
         let mut b = EngineBuilder::new_multi()
             .capacity_per_window(capacity)
@@ -2068,10 +1966,8 @@ mod tests {
         let mut e = b.build_multi().unwrap();
         let mut sink = SlotSink::default();
         let mut outcomes = Vec::new();
-        let mut batch = Vec::new();
         for i in 0..300u64 {
             if rng.gen_range(0..60) == 0 {
-                flush::<K>(&mut e, &mut batch, &mut sink, &mut outcomes);
                 let live: Vec<QueryId> = (0..e.n_registered() as u32)
                     .map(QueryId)
                     .filter(|&q| e.query(q).is_some())
@@ -2088,19 +1984,10 @@ mod tests {
                 continue;
             };
             let arrival = Arrival::new(g, row, VTime::from_micros(i * 250_000));
-            if batched {
-                let now = arrival.ts;
-                batch.push((e.mint(arrival), now));
-                if rng.gen_range(0..6) == 0 {
-                    flush::<K>(&mut e, &mut batch, &mut sink, &mut outcomes);
-                }
-            } else {
-                let now = arrival.ts;
-                let tuple = e.mint(arrival);
-                outcomes.push(e.ingest_tuple_inner::<K>(tuple, now, &mut sink, false));
-            }
+            let now = arrival.ts;
+            let tuple = e.mint(arrival);
+            outcomes.push(e.ingest_tuple_inner::<K>(tuple, now, &mut sink));
         }
-        flush::<K>(&mut e, &mut batch, &mut sink, &mut outcomes);
         let stats = (0..e.n_registered() as u32)
             .map(|q| e.query_stats(QueryId(q)))
             .collect();
@@ -2115,19 +2002,6 @@ mod tests {
         }
     }
 
-    /// Ingests the pending batch of [`run_scenario`], if any, through
-    /// kernel `K`.
-    fn flush<K: TrieKernel>(
-        e: &mut MultiQueryEngine,
-        batch: &mut Vec<(Tuple, VTime)>,
-        sink: &mut SlotSink,
-        outcomes: &mut Vec<IngestOutcome>,
-    ) {
-        if !batch.is_empty() {
-            outcomes.push(e.ingest_batch_with::<K>(batch, sink));
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
@@ -2135,8 +2009,8 @@ mod tests {
         /// the same emissions (query and bound slot per local stream) in
         /// the same order, the same per-arrival outcomes and shed
         /// decisions, and the same per-query stats — under MSketch and the
-        /// produced-credit-driven MSketch-RS, per arrival and batched,
-        /// across mid-trace registration changes.
+        /// produced-credit-driven MSketch-RS, across mid-trace
+        /// registration changes.
         #[test]
         fn frame_kernel_matches_the_recursive_reference(seed in proptest::any::<u64>()) {
             let got = run_scenario::<FrameKernel>(seed);

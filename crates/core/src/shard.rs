@@ -87,7 +87,7 @@
 //! re-queue as ticks for their shard (the arrival is still processed by
 //! its FULL delivery elsewhere), so expiry counters never skew.
 
-use crate::engine::{BatchItem, EngineConfig, EventTimeFrontEnd, MemoryMode, ShedJoinEngine};
+use crate::engine::{EngineConfig, EventTimeFrontEnd, MemoryMode, ShedJoinEngine};
 use crate::ingest::{Arrival, CountSink, IngestRole, VecSink};
 use crate::report::{EngineMetrics, RunReport};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -184,12 +184,6 @@ pub struct ShardConfig {
     /// Run non-key-partitionable queries in broadcast mode at the
     /// requested shard count instead of degrading to one shard.
     pub broadcast: bool,
-    /// Feed each routed batch through the engine's batch-amortized ingest
-    /// path (`ingest_tuple_batch`: prefetched index lookups, coalesced
-    /// heap rescoring) instead of one `ingest_tuple_as` call per item.
-    /// Bit-identical either way — the knob exists for differential tests
-    /// and A/B benchmarking.
-    pub batch_ingest: bool,
 }
 
 impl Default for ShardConfig {
@@ -203,7 +197,6 @@ impl Default for ShardConfig {
             route_only: false,
             hot_keys: HotKeyConfig::default(),
             broadcast: true,
-            batch_ingest: true,
         }
     }
 }
@@ -669,7 +662,6 @@ impl ShardedJoinEngine {
             let mode = WorkerMode {
                 collect_rows: shard.collect_rows,
                 route_only: shard.route_only,
-                batch_ingest: shard.batch_ingest,
             };
             handles.push(std::thread::spawn(move || {
                 worker_loop(engine, rx, ret_tx, mode)
@@ -1136,30 +1128,6 @@ fn merge_sorted_rows(mut per_worker: Vec<Vec<Vec<Tuple>>>) -> Vec<Vec<Tuple>> {
 struct WorkerMode {
     collect_rows: bool,
     route_only: bool,
-    batch_ingest: bool,
-}
-
-/// Runs the accumulated tuple run through the engine's batch-amortized
-/// path (no-op on an empty run). Tick blocks and batch boundaries bound
-/// each run, so delivery order is exactly the per-item loop's; the batched
-/// path itself replays per-arrival bit-identically.
-fn flush_pending(
-    engine: &mut ShedJoinEngine,
-    pending: &mut Vec<BatchItem>,
-    mode: WorkerMode,
-    vec_sink: &mut VecSink,
-    count_sink: &mut CountSink,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    if mode.collect_rows {
-        engine.ingest_tuple_batch(pending, vec_sink);
-    } else {
-        engine.ingest_tuple_batch(pending, count_sink);
-    }
-    #[cfg(feature = "audit")]
-    engine.check_invariants();
 }
 
 fn worker_loop(
@@ -1171,27 +1139,13 @@ fn worker_loop(
     let mut vec_sink = VecSink::default();
     let mut count_sink = CountSink::default();
     let mut end_time = VTime::ZERO;
-    // Reused run buffer of the batch-amortized path: consecutive
-    // tuple-bearing items of one routed batch, flushed at tick blocks and
-    // batch end.
-    let mut pending: Vec<BatchItem> = Vec::new();
     while let Ok(mut batch) = rx.recv() {
         if mode.route_only {
             batch.clear();
         } else {
             for item in batch.drain(..) {
-                match item {
+                let (tuple, role) = match item {
                     Item::Ticks(block) => {
-                        // A tick block summarizes foreign arrivals that
-                        // precede the items after it: land the tuple run
-                        // gathered so far first to keep delivery order.
-                        flush_pending(
-                            &mut engine,
-                            &mut pending,
-                            mode,
-                            &mut vec_sink,
-                            &mut count_sink,
-                        );
                         for lane in 0..block.n as usize {
                             let count = block.counts[lane];
                             if count > 0 {
@@ -1199,31 +1153,22 @@ fn worker_loop(
                                 engine.note_foreign_arrivals(stream, count as u64);
                             }
                         }
+                        continue;
                     }
-                    item => {
-                        let (tuple, role) = match item {
-                            Item::Tuple(t) => (t, IngestRole::FULL),
-                            Item::Replica(t) => (t, IngestRole::STORE_REPLICA),
-                            Item::ProbeReplica(t) => (t, IngestRole::PROBE_REPLICA),
-                            Item::Ticks(_) => unreachable!("handled above"),
-                        };
-                        let now = tuple.ts;
-                        end_time = end_time.max(now);
-                        if mode.batch_ingest {
-                            pending.push(BatchItem { tuple, now, role });
-                        } else {
-                            if mode.collect_rows {
-                                engine.ingest_tuple_as(tuple, now, &mut vec_sink, role);
-                            } else {
-                                engine.ingest_tuple_as(tuple, now, &mut count_sink, role);
-                            }
-                            #[cfg(feature = "audit")]
-                            engine.check_invariants();
-                        }
-                    }
+                    Item::Tuple(t) => (t, IngestRole::FULL),
+                    Item::Replica(t) => (t, IngestRole::STORE_REPLICA),
+                    Item::ProbeReplica(t) => (t, IngestRole::PROBE_REPLICA),
+                };
+                let now = tuple.ts;
+                end_time = end_time.max(now);
+                if mode.collect_rows {
+                    engine.ingest_tuple_as(tuple, now, &mut vec_sink, role);
+                } else {
+                    engine.ingest_tuple_as(tuple, now, &mut count_sink, role);
                 }
+                #[cfg(feature = "audit")]
+                engine.check_invariants();
             }
-            flush_pending(&mut engine, &mut pending, mode, &mut vec_sink, &mut count_sink);
         }
         // Hand the drained allocation back for reuse. The return channel
         // is sized to hold every in-flight buffer, so a failure only

@@ -302,7 +302,7 @@ mod tests {
                 epoch: None,
                 seed: 2,
                 disorder: None,
-                score_cache: None,
+                score_cache: true,
             },
         )
         .unwrap()

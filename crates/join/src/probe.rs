@@ -9,8 +9,8 @@
 //! shapes the benchmarks exercise get specialized fast paths (single-step,
 //! two-step star, two-step chain); plans with residual predicates or more
 //! steps run the general kernel. All variants enumerate matches in exactly
-//! the order of the original recursive kernel ([`probe_each_recursive`],
-//! kept for differential tests), so results are bit-identical.
+//! the order of the original recursive kernel (kept as the reference of
+//! `tests/probe_equivalence.rs`), so results are bit-identical.
 //!
 //! Engines probe through [`probe_each_with`] and a [`ProbeScratch`] they
 //! own: the slot bindings, hoisted residual values and frame stack are
@@ -481,86 +481,6 @@ fn probe_n<'a, F: FnMut(&Bindings<'_>)>(
     count
 }
 
-/// The original recursive probe kernel, retained verbatim as a differential
-/// reference: the iterative kernel must visit the exact same matches in the
-/// exact same order (`tests/probe_equivalence.rs`, probe microbenches).
-/// Not part of the public API.
-#[doc(hidden)]
-pub fn probe_each_recursive<F: FnMut(&Bindings<'_>)>(
-    plan: &ProbePlan,
-    origin_tuple: &Tuple,
-    stores: &[WindowStore],
-    mut on_match: F,
-) -> u64 {
-    debug_assert_eq!(plan.origin(), origin_tuple.stream);
-    let mut slots: Vec<Option<Slot>> = vec![None; stores.len()];
-    let mut count = 0u64;
-    recurse(
-        plan,
-        0,
-        origin_tuple,
-        stores,
-        &mut slots,
-        &mut count,
-        &mut on_match,
-    );
-    count
-}
-
-fn recurse<F: FnMut(&Bindings<'_>)>(
-    plan: &ProbePlan,
-    step_idx: usize,
-    origin_tuple: &Tuple,
-    stores: &[WindowStore],
-    slots: &mut Vec<Option<Slot>>,
-    count: &mut u64,
-    on_match: &mut F,
-) {
-    if step_idx == plan.steps().len() {
-        *count += 1;
-        let bindings = Bindings {
-            origin: plan.origin(),
-            origin_tuple,
-            slots,
-            stores: &stores,
-        };
-        on_match(&bindings);
-        return;
-    }
-    let step = &plan.steps()[step_idx];
-    let drive_value = bound_value(
-        plan.origin(),
-        origin_tuple,
-        stores,
-        slots,
-        step.drive_stream,
-        step.drive_attr,
-    );
-    let store = &stores[step.stream.index()];
-    let candidates = store.probe(step.probe_attr, drive_value);
-    for slot in candidates.iter() {
-        let tuple = store.tuple(slot).expect("probed slot is live");
-        let residual_ok = step.residual.iter().all(|&(bs, ba, ca)| {
-            bound_value(plan.origin(), origin_tuple, stores, slots, bs, ba) == tuple.values[ca]
-        });
-        if !residual_ok {
-            continue;
-        }
-        slots[step.stream.index()] = Some(slot);
-        recurse(
-            plan,
-            step_idx + 1,
-            origin_tuple,
-            stores,
-            slots,
-            count,
-            on_match,
-        );
-        slots[step.stream.index()] = None;
-    }
-}
-
-/// Reads an attribute of a bound stream (origin or already-probed window).
 fn bound_value(
     origin: StreamId,
     origin_tuple: &Tuple,
@@ -740,35 +660,6 @@ mod tests {
                 }
             }
             assert_eq!(got, expect, "origin {s}");
-        }
-    }
-
-    #[test]
-    fn iterative_matches_recursive_order() {
-        // The three dispatch shapes (chain-from-end = probe_2 chain,
-        // middle-origin = probe_2 star, triangle = probe_n with residuals)
-        // must all enumerate matches in the recursive kernel's order.
-        let q = chain3();
-        let mut stores = stores_for(&q);
-        let mut seq = 0;
-        for (s, store) in stores.iter_mut().enumerate() {
-            for i in 0..15u64 {
-                store.insert(tup(s, seq, (i * 5 + s as u64) % 4, (i * 3) % 4), 0.0);
-                seq += 1;
-            }
-        }
-        for plan in ProbePlan::all(&q) {
-            let t = tup(plan.origin().index(), 999, 2, 3);
-            let mut got = Vec::new();
-            let n1 = probe_each(&plan, &t, &stores, |b| {
-                got.push((0..3).map(|k| b.seq(StreamId(k))).collect::<Vec<_>>());
-            });
-            let mut want = Vec::new();
-            let n2 = probe_each_recursive(&plan, &t, &stores, |b| {
-                want.push((0..3).map(|k| b.seq(StreamId(k))).collect::<Vec<_>>());
-            });
-            assert_eq!(n1, n2);
-            assert_eq!(got, want, "match order diverged (origin {:?})", plan.origin());
         }
     }
 }

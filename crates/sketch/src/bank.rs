@@ -269,18 +269,17 @@ impl SketchBank {
         &self.counters()[k * copies..(k + 1) * copies]
     }
 
-    /// Takes a snapshot of `stream`'s per-copy counters and resets them
+    /// Copies `stream`'s per-copy counters into `out` and resets them
     /// (per-stream epoch rollover for tuple-based windows, paper §4.1).
     /// Settles every stream first; the other streams' rows stay live.
-    pub fn take_stream_snapshot(&mut self, stream: StreamId) -> Vec<i64> {
+    pub fn take_stream_snapshot(&mut self, stream: StreamId, out: &mut [i64]) {
         self.settle();
         let copies = self.config.copies();
         let k = stream.index();
         let row = &mut self.counters[k * copies..(k + 1) * copies];
-        let snapshot = row.to_vec();
+        out.copy_from_slice(row);
         row.fill(0);
         self.tuples[k] = 0;
-        snapshot
     }
 
     /// Resets every atomic sketch (epoch rollover), discarding pending folds
@@ -654,7 +653,8 @@ mod tests {
         bank.update(StreamId(1), &v(4, 2));
         let expected: Vec<i64> = (0..6).map(|c| bank.sketch_value(c, StreamId(1))).collect();
         assert!(expected.iter().any(|&x| x != 0));
-        let snap = bank.take_stream_snapshot(StreamId(1));
+        let mut snap = vec![0i64; 6];
+        bank.take_stream_snapshot(StreamId(1), &mut snap);
         assert_eq!(snap, expected);
         assert_eq!(bank.counters_row(StreamId(1)), vec![0i64; 6].as_slice());
         assert_eq!(bank.tuples_seen(StreamId(1)), 0);

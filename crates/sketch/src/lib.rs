@@ -64,11 +64,7 @@
 //! assert!(hot > cold.max(0.0));
 //! ```
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// tightly-scoped `#[allow(unsafe_code)]` on `kernel::avx2`, whose only
-// unsafety is the `target_feature` calling contract (discharged by runtime
-// CPU detection). Everything else in the crate stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod atomic;
@@ -85,8 +81,7 @@ pub use atomic::AtomicSketch;
 pub use bank::{median_of_means_into, median_of_means_slice, BankConfig, SketchBank};
 pub use freq::{FreqTable, PartnerFrequency, SpaceSaving, TumblingFreq};
 pub use hash::FourWiseHash;
-pub use kernel::{kernel_mode, KernelMode, LANES};
 pub use pending::PENDING_FOLD_BOUND;
-pub use score_cache::{score_cache_env_default, ScoreCache, ScoreCacheStats, ScoreKey};
+pub use score_cache::{ScoreCache, ScoreCacheStats, ScoreKey};
 pub use signs::{SignCache, SignCacheStats, SignFamilies};
 pub use tumbling::{EpochSpec, TumblingSketches};

@@ -119,26 +119,13 @@ impl SignFamilies {
 
     /// Evaluates predicate `pred` at `x` across **all** copies and packs
     /// the signs into `out` (bit `c % 64` of word `c / 64` set ⇔ copy `c`
-    /// has sign −1). `out` is cleared and resized to [`words_for`] words.
-    ///
-    /// Dispatches between the scalar reference loop and a lane-blocked
-    /// form ([`crate::kernel::LANES`] independent Horner chains per step);
-    /// the arithmetic is pure integer math, so both are exact and
-    /// bit-identical — proven by [`Self::eval_packed_scalar`] /
-    /// [`Self::eval_packed_lanes`] comparisons in the equivalence suite.
-    pub fn eval_packed_into(&self, pred: usize, x: u64, out: &mut Vec<u64>) {
-        match crate::kernel::kernel_mode() {
-            crate::kernel::KernelMode::Scalar => self.eval_packed_scalar(pred, x, out),
-            _ => self.eval_packed_lanes(pred, x, out),
-        }
-    }
-
-    /// Scalar reference body of [`Self::eval_packed_into`]: one Horner
-    /// chain per copy, ascending copy order.
-    pub fn eval_packed_scalar(&self, pred: usize, x: u64, out: &mut Vec<u64>) {
+    /// has sign −1): one Horner chain per copy, ascending copy order.
+    /// `out` must hold exactly [`words_for`]`(copies)` words; it is
+    /// overwritten.
+    pub fn eval_packed_into(&self, pred: usize, x: u64, out: &mut [u64]) {
         let n = self.copies;
-        out.clear();
-        out.resize(words_for(n), 0);
+        assert_eq!(out.len(), words_for(n), "one sign bit per copy");
+        out.fill(0);
         let bank = &self.coeffs[pred];
         let x = mod_mersenne(x as u128);
         let (c0, rest) = bank.split_at(n);
@@ -150,45 +137,6 @@ impl SignFamilies {
             acc = mod_mersenne(acc as u128 * x as u128 + c1[c] as u128);
             acc = mod_mersenne(acc as u128 * x as u128 + c0[c] as u128);
             out[c / WORD_BITS] |= (acc & 1) << (c % WORD_BITS);
-        }
-    }
-
-    /// Lane-blocked body of [`Self::eval_packed_into`]:
-    /// [`crate::kernel::LANES`] independent Horner chains advance together
-    /// (the copy-major coefficient layout makes each degree a contiguous
-    /// load), with a scalar tail for `copies % LANES != 0`. Exact — every
-    /// chain performs the identical integer operations as the scalar loop.
-    pub fn eval_packed_lanes(&self, pred: usize, x: u64, out: &mut Vec<u64>) {
-        const LANES: usize = crate::kernel::LANES;
-        let n = self.copies;
-        out.clear();
-        out.resize(words_for(n), 0);
-        let bank = &self.coeffs[pred];
-        let x = mod_mersenne(x as u128) as u128;
-        let (c0, rest) = bank.split_at(n);
-        let (c1, rest) = rest.split_at(n);
-        let (c2, c3) = rest.split_at(n);
-        let mut c = 0usize;
-        while c + LANES <= n {
-            let mut acc = [0u64; LANES];
-            acc.copy_from_slice(&c3[c..c + LANES]);
-            for coeffs in [c2, c1, c0] {
-                for l in 0..LANES {
-                    acc[l] = mod_mersenne(acc[l] as u128 * x + coeffs[c + l] as u128);
-                }
-            }
-            for (l, a) in acc.iter().enumerate() {
-                let i = c + l;
-                out[i / WORD_BITS] |= (a & 1) << (i % WORD_BITS);
-            }
-            c += LANES;
-        }
-        for i in c..n {
-            let mut acc = c3[i];
-            acc = mod_mersenne(acc as u128 * x + c2[i] as u128);
-            acc = mod_mersenne(acc as u128 * x + c1[i] as u128);
-            acc = mod_mersenne(acc as u128 * x + c0[i] as u128);
-            out[i / WORD_BITS] |= (acc & 1) << (i % WORD_BITS);
         }
     }
 }
@@ -205,9 +153,14 @@ pub struct SignCacheStats {
 }
 
 /// Bounded memo of packed sign vectors keyed by `(predicate, value)`.
+///
+/// The vectors live back to back in one flat buffer, and the map holds
+/// each one's word offset. Dropping the memo keeps both allocations, so a
+/// warmed-up cache evaluates misses without touching the allocator.
 #[derive(Clone, Debug)]
 pub struct SignCache {
-    map: HashMap<(usize, u64), Vec<u64>>,
+    map: HashMap<(usize, u64), usize>,
+    words: Vec<u64>,
     hits: u64,
     misses: u64,
     max_entries: usize,
@@ -224,6 +177,7 @@ impl SignCache {
     pub fn with_capacity_bound(max_entries: usize) -> Self {
         SignCache {
             map: HashMap::new(),
+            words: Vec::new(),
             hits: 0,
             misses: 0,
             max_entries: max_entries.max(1),
@@ -231,7 +185,7 @@ impl SignCache {
     }
 
     /// The packed sign vector of `(pred, value)`, evaluating and memoizing
-    /// it on first sight. When the bound is hit the whole map is dropped
+    /// it on first sight. When the bound is hit the whole memo is dropped
     /// (generation-style eviction: O(1) amortized, and the very next epoch
     /// of a Zipfian workload repopulates the hot set immediately).
     pub fn get_or_compute(
@@ -240,26 +194,32 @@ impl SignCache {
         pred: usize,
         value: u64,
     ) -> &[u64] {
-        if self.map.contains_key(&(pred, value)) {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            if self.map.len() >= self.max_entries {
-                self.map.clear();
+        let len = words_for(families.copies());
+        let at = match self.map.get(&(pred, value)) {
+            Some(&at) => {
+                self.hits += 1;
+                at
             }
-            let mut bits = Vec::new();
-            families.eval_packed_into(pred, value, &mut bits);
-            self.map.insert((pred, value), bits);
-        }
-        self.map
-            .get(&(pred, value))
-            .expect("inserted above")
-            .as_slice()
+            None => {
+                self.misses += 1;
+                if self.map.len() >= self.max_entries {
+                    self.clear();
+                }
+                let at = self.words.len();
+                self.words.resize(at + len, 0);
+                families.eval_packed_into(pred, value, &mut self.words[at..]);
+                self.map.insert((pred, value), at);
+                at
+            }
+        };
+        &self.words[at..at + len]
     }
 
-    /// Drops every memoized vector; hit/miss counters persist.
+    /// Drops every memoized vector, keeping the allocations; hit/miss
+    /// counters persist.
     pub fn clear(&mut self) {
         self.map.clear();
+        self.words.clear();
     }
 
     /// Current counters.
@@ -360,11 +320,10 @@ mod tests {
     #[test]
     fn packed_bits_match_scalar_signs() {
         let soa = families(3, 2, 130); // > 2 words, with a ragged tail
-        let mut bits = Vec::new();
+        let mut bits = vec![u64::MAX; words_for(130)];
         for pred in 0..2 {
             for x in [0u64, 1, 7, 123_456_789, u64::MAX] {
                 soa.eval_packed_into(pred, x, &mut bits);
-                assert_eq!(bits.len(), words_for(130));
                 for c in 0..130 {
                     let packed = if (bits[c / 64] >> (c % 64)) & 1 == 1 { -1 } else { 1 };
                     assert_eq!(packed, soa.sign_one(pred, c, x), "pred {pred} copy {c} x {x}");
@@ -423,7 +382,7 @@ mod tests {
         }
         assert!(cache.stats().entries <= 4);
         // Cached and freshly evaluated vectors agree.
-        let mut fresh = Vec::new();
+        let mut fresh = vec![0u64; words_for(8)];
         soa.eval_packed_into(0, 1, &mut fresh);
         assert_eq!(cache.get_or_compute(&soa, 0, 1), fresh.as_slice());
     }

@@ -177,11 +177,10 @@ impl TumblingSketches {
     fn roll_stream(&mut self, stream: StreamId) {
         let copies = self.bank.config().copies();
         let k = stream.index();
-        let snapshot = self.bank.take_stream_snapshot(stream);
-        self.prev[k * copies..(k + 1) * copies]
-            .copy_from_slice(&self.last[k * copies..(k + 1) * copies]);
+        let row = k * copies..(k + 1) * copies;
+        self.prev[row.clone()].copy_from_slice(&self.last[row.clone()]);
         self.has_prev[k] = self.has_last[k];
-        self.last[k * copies..(k + 1) * copies].copy_from_slice(&snapshot);
+        self.bank.take_stream_snapshot(stream, &mut self.last[row]);
         self.has_last[k] = true;
         // Every cross-product row except `k`'s own consults X_k^{last}.
         for (i, valid) in self.cross_valid.iter_mut().enumerate() {
@@ -451,7 +450,7 @@ impl TumblingSketches {
         self.score_cache.enabled()
     }
 
-    /// Overrides the process-wide `MSTREAM_SCORE_CACHE` default for this
+    /// Turns productivity memoization on (the default) or off for this
     /// instance (the audit harness A/B-compares cached and uncached runs
     /// inside one process). Disabling drops every resident estimate.
     pub fn set_score_cache(&mut self, enabled: bool) {
@@ -534,7 +533,6 @@ impl TumblingSketches {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score_cache::score_cache_env_default;
     use mstream_types::{Catalog, StreamSchema, WindowSpec};
 
     fn chain_query() -> JoinQuery {
@@ -783,7 +781,7 @@ mod tests {
         let mut cached = frozen_sketches(64, 2);
         let mut plain = frozen_sketches(64, 2);
         plain.set_score_cache(false);
-        assert!(cached.score_cache_enabled() || !score_cache_env_default());
+        assert!(cached.score_cache_enabled());
         for a in 0..40u64 {
             let val = v(a % 5, a % 3);
             let s = StreamId((a % 3) as usize);
@@ -791,13 +789,11 @@ mod tests {
             let got = cached.productivity(s, &val);
             assert_eq!(got.to_bits(), want.to_bits(), "stream {s:?} value {a}");
         }
-        if score_cache_env_default() {
-            let stats = cached.score_cache_stats();
-            assert!(stats.hits >= 1, "repeated keys must hit: {stats:?}");
-            assert!(stats.misses >= 1);
-            let off = plain.score_cache_stats();
-            assert_eq!((off.hits, off.entries), (0, 0), "disabled memo is inert");
-        }
+        let stats = cached.score_cache_stats();
+        assert!(stats.hits >= 1, "repeated keys must hit: {stats:?}");
+        assert!(stats.misses >= 1);
+        let off = plain.score_cache_stats();
+        assert_eq!((off.hits, off.entries), (0, 0), "disabled memo is inert");
     }
 
     #[test]

@@ -786,7 +786,11 @@ proptest! {
                     prop_assert_eq!(new.sketch_value(c, sid), old.copies[c].sketches[s].value());
                     prop_assert_eq!(new.tuples_seen(sid), old.copies[c].sketches[s].tuples());
                 }
-                8 => prop_assert_eq!(new.take_stream_snapshot(sid), old.take_stream_snapshot(sid)),
+                8 => {
+                    let mut snapshot = vec![0; cfg.copies()];
+                    new.take_stream_snapshot(sid, &mut snapshot);
+                    prop_assert_eq!(snapshot, old.take_stream_snapshot(sid));
+                }
                 _ => match a % 3 {
                     0 => {
                         new.reset();
@@ -874,264 +878,6 @@ proptest! {
                 new.productivity(StreamId(s), &probe).to_bits(),
                 old.productivity(StreamId(s), &probe).to_bits()
             );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Vector-vs-scalar kernel bit-identity (PR 9).
-//
-// Every kernel in `mstream_sketch::kernel` ships a scalar reference path
-// and a portable lane path (plus AVX2 specializations for the two
-// sign-application kernels); the dispatching entry points pick one per
-// process. These properties pin all implementations bit-identical across
-// odd lengths, ragged tails (len % LANES != 0, len % 64 != 0), and
-// extreme inputs (i64::MIN/MAX-adjacent counters, ±0.0 values).
-// ---------------------------------------------------------------------------
-
-mod kernels {
-    use mstream_sketch::kernel::{self, lanes, scalar, LANES};
-    use mstream_sketch::SignFamilies;
-    use proptest::prelude::*;
-    use rand::SeedableRng;
-
-    /// Deterministic counter stream biased toward the i64 extremes (the
-    /// `as f64` casts are lossy there — both paths must be lossy the same
-    /// way) with small values in between.
-    fn extreme_i64(seed: u64, i: usize) -> i64 {
-        let r = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32);
-        match r % 7 {
-            0 => i64::MAX - (r % 5) as i64,
-            1 => i64::MIN + (r % 5) as i64,
-            2 => 0,
-            3 => -(1i64 << (r % 62)),
-            _ => (r as i64) % 1000 - 500,
-        }
-    }
-
-    /// Deterministic value stream biased toward signed zeros and huge
-    /// magnitudes.
-    fn extreme_f64(seed: u64, i: usize) -> f64 {
-        let r = seed.rotate_left((3 * i) as u32).wrapping_add(i as u64);
-        match r % 8 {
-            0 => 0.0,
-            1 => -0.0,
-            2 => 1e300,
-            3 => -1e-300,
-            4 => f64::from_bits(r >> 2), // arbitrary finite-ish bit pattern
-            _ => (r as i64 % 10_000) as f64 / 3.0,
-        }
-    }
-
-    fn sign_words(seed: u64, len: usize) -> Vec<u64> {
-        (0..len.div_ceil(64))
-            .map(|i| seed.wrapping_mul(i as u64 + 1).rotate_left(17))
-            .collect()
-    }
-
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// Sampled lengths hit empty, sub-lane, ragged-tail
-    /// (`len % LANES != 0`), exact-lane, word-boundary and multi-word
-    /// shapes; this pins the boundary cases the uniform range might miss.
-    const PINNED_LENS: [usize; 8] = [0, 1, 3, LANES, 63, 64, 65, 130];
-
-    fn pick_len(sampled: usize, case_tag: u64) -> usize {
-        if case_tag % 3 == 0 {
-            PINNED_LENS[(case_tag / 3) as usize % PINNED_LENS.len()]
-        } else {
-            sampled
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn fold_weighted_signs_modes_agree(
-            sampled_len in 0usize..200,
-            seed in any::<u64>(),
-            weight in -1000i64..1000,
-        ) {
-            let len = pick_len(sampled_len, seed);
-            let words = sign_words(seed, len);
-            // Halved so the weighted fold cannot overflow debug arithmetic;
-            // the magnitude extremes still exercise the full word layout.
-            let mut a: Vec<i64> = (0..len).map(|i| extreme_i64(seed, i) / 2).collect();
-            let mut b = a.clone();
-            let mut c = a.clone();
-            scalar::fold_weighted_signs(&words, weight, &mut a);
-            lanes::fold_weighted_signs(&words, weight, &mut b);
-            kernel::fold_weighted_signs(&words, weight, &mut c);
-            prop_assert_eq!(&a, &b);
-            prop_assert_eq!(&a, &c);
-            // One fold of weight w is w unit folds (and -w for w < 0).
-            let mut units: Vec<i64> = (0..len).map(|i| extreme_i64(seed, i) / 2).collect();
-            let step = if weight < 0 { -1 } else { 1 };
-            for _ in 0..weight.unsigned_abs() {
-                kernel::fold_weighted_signs(&words, step, &mut units);
-            }
-            prop_assert_eq!(&a, &units);
-        }
-
-        #[test]
-        fn column_products_modes_agree(
-            sampled_copies in 1usize..200,
-            streams in 1usize..5,
-            exclude in 0usize..6,
-            seed in any::<u64>(),
-        ) {
-            let copies = pick_len(sampled_copies, seed).max(1);
-            let buf: Vec<i64> = (0..copies * streams).map(|i| extreme_i64(seed, i)).collect();
-            let mut a = vec![0.0f64; copies];
-            let mut b = vec![0.0f64; copies];
-            let mut c = vec![0.0f64; copies];
-            scalar::column_products(&buf, copies, exclude, &mut a);
-            lanes::column_products(&buf, copies, exclude, &mut b);
-            kernel::column_products(&buf, copies, exclude, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
-        fn multiply_row_modes_agree(
-            sampled_len in 0usize..200,
-            seed in any::<u64>(),
-        ) {
-            let len = pick_len(sampled_len, seed);
-            let row: Vec<i64> = (0..len).map(|i| extreme_i64(seed, i + 7)).collect();
-            let acc0: Vec<f64> = (0..len).map(|i| extreme_f64(seed, i)).collect();
-            let mut a = acc0.clone();
-            let mut b = acc0.clone();
-            let mut c = acc0.clone();
-            scalar::multiply_row(&mut a, &row);
-            lanes::multiply_row(&mut b, &row);
-            kernel::multiply_row(&mut c, &row);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
-        fn apply_packed_signs_modes_agree(
-            sampled_len in 0usize..200,
-            seed in any::<u64>(),
-        ) {
-            let len = pick_len(sampled_len, seed);
-            let vals: Vec<f64> = (0..len).map(|i| extreme_f64(seed, i)).collect();
-            let words = sign_words(seed ^ 0xABCD, len);
-            let mut a = vals.clone();
-            let mut b = vals.clone();
-            let mut c = vals.clone();
-            scalar::apply_packed_signs(&words, &mut a);
-            lanes::apply_packed_signs(&words, &mut b);
-            kernel::apply_packed_signs(&words, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
-        fn signed_copy_modes_agree(
-            sampled_len in 0usize..200,
-            seed in any::<u64>(),
-        ) {
-            let len = pick_len(sampled_len, seed);
-            let src: Vec<f64> = (0..len).map(|i| extreme_f64(seed, 2 * i)).collect();
-            let words = sign_words(seed ^ 0x5A5A, len);
-            let mut a = vec![0.0f64; len];
-            let mut b = vec![0.0f64; len];
-            let mut c = vec![0.0f64; len];
-            scalar::signed_copy(&words, &src, &mut a);
-            lanes::signed_copy(&words, &src, &mut b);
-            kernel::signed_copy(&words, &src, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
-        fn product2_signed_modes_agree(
-            sampled_len in 0usize..200,
-            seed in any::<u64>(),
-        ) {
-            let len = pick_len(sampled_len, seed);
-            let a_row: Vec<i64> = (0..len).map(|i| extreme_i64(seed, i)).collect();
-            let b_row: Vec<i64> = (0..len).map(|i| extreme_i64(!seed, i)).collect();
-            let words = sign_words(seed ^ 0xF00D, len);
-            let mut a = vec![0.0f64; len];
-            let mut b = vec![0.0f64; len];
-            let mut c = vec![0.0f64; len];
-            scalar::product2_signed(&a_row, &b_row, &words, &mut a);
-            lanes::product2_signed(&a_row, &b_row, &words, &mut b);
-            kernel::product2_signed(&a_row, &b_row, &words, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
-        fn group_sums_modes_agree(
-            s1 in 0usize..40,
-            s2 in 0usize..12,
-            seed in any::<u64>(),
-        ) {
-            // Group counts straddle the lane width (s2 % LANES ∈ all
-            // residues over the sampled range) and the values are
-            // catastrophic-cancellation bait, so any in-group reorder
-            // would change bits.
-            let per_copy: Vec<f64> = (0..s1 * s2).map(|i| extreme_f64(seed, i)).collect();
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            let mut c = Vec::new();
-            scalar::group_sums(&per_copy, s1, s2, &mut a);
-            lanes::group_sums(&per_copy, s1, s2, &mut b);
-            kernel::group_sums(&per_copy, s1, s2, &mut c);
-            prop_assert_eq!(bits(&a), bits(&b));
-            prop_assert_eq!(bits(&a), bits(&c));
-        }
-
-        #[test]
-        fn eval_packed_modes_agree(
-            sampled_copies in 1usize..200,
-            seed in any::<u64>(),
-            x in any::<u64>(),
-        ) {
-            let copies = pick_len(sampled_copies, seed).max(1);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let fam = SignFamilies::draw(&mut rng, 3, copies);
-            for pred in 0..3 {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                let mut c = Vec::new();
-                fam.eval_packed_scalar(pred, x, &mut a);
-                fam.eval_packed_lanes(pred, x, &mut b);
-                fam.eval_packed_into(pred, x, &mut c);
-                prop_assert_eq!(&a, &b);
-                prop_assert_eq!(&a, &c);
-            }
-        }
-    }
-
-    /// On AVX2 hosts the `std::arch` specializations must also be
-    /// bit-identical (elsewhere this test is vacuous — dispatch never
-    /// selects them there either).
-    #[test]
-    fn avx2_sign_kernels_match_scalar() {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            for len in PINNED_LENS {
-                let src: Vec<f64> = (0..len).map(|i| extreme_f64(0xC0FFEE, i)).collect();
-                let words = sign_words(0xBEEF, len);
-                let mut want = src.clone();
-                scalar::apply_packed_signs(&words, &mut want);
-                let mut got = src.clone();
-                kernel::avx2::apply_packed_signs(&words, &mut got);
-                assert_eq!(bits(&want), bits(&got), "apply len={len}");
-                let mut want_copy = vec![0.0f64; len];
-                scalar::signed_copy(&words, &src, &mut want_copy);
-                let mut got_copy = vec![0.0f64; len];
-                kernel::avx2::signed_copy(&words, &src, &mut got_copy);
-                assert_eq!(bits(&want_copy), bits(&got_copy), "copy len={len}");
-            }
         }
     }
 }

@@ -191,36 +191,6 @@ impl FlatIndex {
         self.live
     }
 
-    /// Hints the cache to pull in the control/key/bucket cells `key`'s
-    /// probe will start at. Semantically a no-op — prefetching is invisible
-    /// to every observable result — so batched callers may issue it for a
-    /// whole batch before probing without affecting bit-identity. Compiles
-    /// to nothing off `x86_64`.
-    #[inline]
-    pub fn prefetch(&self, key: u64) {
-        if self.buckets.is_empty() {
-            return;
-        }
-        let i = (mix(key) as usize) & (self.buckets.len() - 1);
-        #[cfg(target_arch = "x86_64")]
-        // The `allow` is scoped to the crate-level `deny(unsafe_code)`
-        // relaxation documented in lib.rs: `_mm_prefetch` is a pure cache
-        // hint with no memory effects, safe for any address.
-        #[allow(unsafe_code)]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: prefetch has no side effects and tolerates any
-            // pointer; these are in-bounds element pointers regardless.
-            unsafe {
-                _mm_prefetch(self.ctrl.as_ptr().add(i) as *const i8, _MM_HINT_T0);
-                _mm_prefetch(self.keys.as_ptr().add(i) as *const i8, _MM_HINT_T0);
-                _mm_prefetch(self.buckets.as_ptr().add(i) as *const i8, _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = i;
-    }
-
     /// The candidate slots of `key`, in bucket order.
     #[inline]
     pub fn probe(&self, key: u64) -> Candidates<'_> {

@@ -278,18 +278,6 @@ impl WindowStore {
         self.indexes[a].probe(value.0)
     }
 
-    /// Prefetch hint for an upcoming [`WindowStore::probe`] of the same
-    /// `(attr, value)`: pulls the index cells the probe will touch toward
-    /// the cache. Semantically a no-op (see [`FlatIndex::prefetch`]);
-    /// unindexed attributes are silently ignored — a hint must never
-    /// panic on speculative input.
-    #[inline]
-    pub fn prefetch(&self, attr: usize, value: Value) {
-        if let Some(a) = self.join_attrs.iter().position(|&ja| ja == attr) {
-            self.indexes[a].prefetch(value.0);
-        }
-    }
-
     /// The tuple at `slot`, if live.
     pub fn tuple(&self, slot: Slot) -> Option<&Tuple> {
         self.arena.get(slot).map(|e| &e.tuple)

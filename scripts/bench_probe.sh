@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Runs the probe/eviction hot-path microbenches (flat path vs faithful
+# Runs the eviction/index hot-path microbenches (flat path vs faithful
 # replicas of the pre-rewrite path, see crates/bench/src/bin/probe_micro.rs)
 # and writes BENCH_probe.json at the repo root.
 #
@@ -7,7 +7,7 @@
 #
 # Artifact layout (BENCH_probe.json):
 #   {
-#     "probe_micro": [ {"bench": "probe_chain2", "baseline": ...,
+#     "probe_micro": [ {"bench": "insert_evict_cap4096", "baseline": ...,
 #                       "baseline_ns_per_op": ..., "flat_ns_per_op": ...,
 #                       "speedup": ..., "ops": ...}, ... ]
 #   }

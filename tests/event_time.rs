@@ -318,7 +318,6 @@ fn sharded_promotion_under_injected_lateness_matches_the_oracle() {
                 demote_permille: 100,
             },
             broadcast: false,
-            batch_ingest: true,
         })
         .build_sharded()
         .unwrap();

@@ -6,8 +6,9 @@
 //! working size — the per-arrival path of the single-query engine and of
 //! the multi-query engine (probe or trie walk, expire, score, insert,
 //! shed) must make at most one allocation per 1000 arrivals, on a Zipf
-//! hot-key trace and on the paper's regions trace. FIFO keeps the sketch
-//! machinery out of the measurement.
+//! hot-key trace and on the paper's regions trace. FIFO measures the data
+//! plane alone; MSketch and MSketch-RS add the sketch machinery (observe,
+//! epoch rollover, scoring, produced-credit refresh).
 
 use mstream_core::mstream_workload::{RegionsConfig, RegionsGenerator, Zipf};
 use mstream_core::prelude::*;
@@ -145,9 +146,14 @@ fn check(what: &str, arrivals: usize, steady: u64) {
     );
 }
 
-fn solo(q: JoinQuery, capacity: usize, trace: &[(usize, Vec<Value>)]) -> u64 {
+fn solo(
+    policy: impl ShedPolicy + 'static,
+    q: JoinQuery,
+    capacity: usize,
+    trace: &[(usize, Vec<Value>)],
+) -> u64 {
     let mut e = EngineBuilder::new(q)
-        .policy(Fifo)
+        .policy(policy)
         .capacity_per_window(capacity)
         .build()
         .expect("engine builds");
@@ -189,19 +195,43 @@ fn steady_state_ingest_does_not_allocate() {
     check(
         "solo chain, regions",
         regions.len(),
-        solo(chain, 418, &regions),
+        solo(Fifo, chain.clone(), 418, &regions),
     );
     check(
         "solo triangle, regions",
         regions.len(),
-        solo(triangle, 418, &regions),
+        solo(Fifo, triangle, 418, &regions),
     );
     check(
         "solo star at full memory, regions",
         regions.len(),
-        solo(star, 1 << 16, &regions),
+        solo(Fifo, star, 1 << 16, &regions),
     );
-    check("solo star, zipf", zipf.len(), solo(zipf_star, 25, &zipf));
+    check(
+        "solo star, zipf",
+        zipf.len(),
+        solo(Fifo, zipf_star.clone(), 25, &zipf),
+    );
+    check(
+        "MSketch chain, regions",
+        regions.len(),
+        solo(MSketch, chain.clone(), 418, &regions),
+    );
+    check(
+        "MSketch star, zipf",
+        zipf.len(),
+        solo(MSketch, zipf_star.clone(), 25, &zipf),
+    );
+    check(
+        "MSketch-RS chain, regions",
+        regions.len(),
+        solo(MSketchRs, chain, 418, &regions),
+    );
+    check(
+        "MSketch-RS star, zipf",
+        zipf.len(),
+        solo(MSketchRs, zipf_star, 25, &zipf),
+    );
     check(
         "multi, regions",
         regions.len(),
